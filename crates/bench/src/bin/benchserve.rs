@@ -6,7 +6,7 @@
 //! cargo run --release -p sgnn-bench --bin benchserve -- --json   # + ObsReport line on stdout
 //! ```
 //!
-//! Five sections, one JSON object:
+//! Six sections, one JSON object:
 //!
 //! 1. **Replay** — a fixed Zipf-skewed request trace against a
 //!    `Hot`-policy engine, served batched and (on a fresh engine)
@@ -42,16 +42,23 @@
 //!    accepted query is still answered at its normal tier and both
 //!    corrupted rows are CRC-caught and rebuilt (`store_repairs` is
 //!    exact-gated — corruption indices are part of the plan).
+//! 6. **Push sweep** — `fresh_row_into` through one reused
+//!    `PushWorkspace` on BA(n, 8) at n = 20k and 200k (20k only under
+//!    `--quick`), over a seeded sample of sources at the `FullProp`
+//!    tolerance. Per-push µs rides the 10× time band; the mean edge
+//!    touches and pushes per query are exact-gated, so the work a push
+//!    does is pinned while its cost is free to fall with graph size.
 
 use rand::RngExt;
 use sgnn_fault::FaultPlan;
 use sgnn_graph::{generate, CsrGraph, NodeId};
 use sgnn_linalg::{DenseMatrix, QuantMode};
 use sgnn_nn::Mlp;
+use sgnn_prop::PushWorkspace;
 use sgnn_serve::{
-    run_server, smooth_matrix_seq, AdmissionQueue, BatchConfig, BreakerConfig, OverloadConfig,
-    PlannerConfig, PrecomputePolicy, Pressure, PressureConfig, PressuredRequest, ServeConfig,
-    ServeEngine, ServedQuery, Strategy,
+    fresh_row_into, run_server, smooth_matrix_seq, AdmissionQueue, BatchConfig, BreakerConfig,
+    OverloadConfig, PlannerConfig, PrecomputePolicy, Pressure, PressureConfig, PressuredRequest,
+    ServeConfig, ServeEngine, ServedQuery, Strategy,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,6 +96,13 @@ fn zipf_trace(g: &CsrGraph, len: usize, skew: f64, seed: u64) -> Vec<NodeId> {
     let mut rng = sgnn_linalg::rng::seeded(seed);
     (0..len).map(|_| by_degree[zipf.sample(&mut rng)]).collect()
 }
+
+/// Sources per graph size in the push sweep.
+const SWEEP_SOURCES: usize = 200;
+/// Timed passes over the sources; the median pass is reported.
+const SWEEP_PASSES: usize = 5;
+/// Push tolerance of the sweep (the open loop's `FullProp` eps).
+const SWEEP_EPS: f64 = 1e-5;
 
 fn quantile(sorted: &[u64], q: f64) -> u64 {
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
@@ -524,6 +538,44 @@ fn main() {
          {chaos_injected} faults injected in {chaos_secs:.3}s"
     );
 
+    // --- Push sweep: per-push cost against graph size. -------------------
+    let sweep_sizes: &[usize] = if quick { &[20_000] } else { &[20_000, 200_000] };
+    let mut sweep = Vec::new();
+    for &n in sweep_sizes {
+        let g = generate::barabasi_albert(n, 8, 61);
+        let x = DenseMatrix::gaussian(n, 16, 1.0, 63);
+        let mut rng = sgnn_linalg::rng::seeded(67);
+        let sources: Vec<NodeId> =
+            (0..SWEEP_SOURCES).map(|_| rng.random_range(0..n as NodeId)).collect();
+        let mut ws = PushWorkspace::new(n);
+        let mut row = vec![0f32; x.cols()];
+        let (mut touches, mut pushes) = (0u64, 0u64);
+        let mut pass_us = Vec::with_capacity(SWEEP_PASSES);
+        for pass in 0..=SWEEP_PASSES {
+            let t = Instant::now();
+            for &u in &sources {
+                let st = fresh_row_into(&mut ws, &g, &x, u, 0.15, SWEEP_EPS, &mut row);
+                if pass == 0 {
+                    touches += st.edge_touches;
+                    pushes += st.pushes;
+                }
+            }
+            // Pass 0 warms caches and the workspace; it is not timed.
+            if pass > 0 {
+                pass_us.push(t.elapsed().as_secs_f64() * 1e6 / SWEEP_SOURCES as f64);
+            }
+        }
+        pass_us.sort_by(f64::total_cmp);
+        let push_us = pass_us[pass_us.len() / 2];
+        let k = SWEEP_SOURCES as f64;
+        eprintln!(
+            "push_sweep: n = {n}: {push_us:.1} us per push, {:.1} edge touches, {:.1} pushes",
+            touches as f64 / k,
+            pushes as f64 / k
+        );
+        sweep.push((n, push_us, touches as f64 / k, pushes as f64 / k));
+    }
+
     // --- Report. --------------------------------------------------------
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -601,7 +653,15 @@ fn main() {
     json.push_str(&format!("    \"store_repairs\": {crepairs},\n"));
     json.push_str(&format!("    \"fault_injected\": {chaos_injected},\n"));
     json.push_str(&format!("    \"chaos_secs\": {chaos_secs:.9}\n"));
-    json.push_str("  }\n");
+    json.push_str("  },\n");
+    json.push_str("  \"push_sweep\": [\n");
+    for (i, (n, push_us, touches, pushes)) in sweep.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"workload\": \"barabasi_albert({n}, 8, seed 61), {SWEEP_SOURCES} uniform sources, eps {SWEEP_EPS:e}, reused workspace\", \"n\": {n}, \"push_us\": {push_us:.3}, \"edge_touches_mean\": {touches:.3}, \"pushes_mean\": {pushes:.3}}}{}\n",
+            if i + 1 < sweep.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]\n");
     json.push_str("}\n");
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

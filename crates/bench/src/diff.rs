@@ -8,9 +8,9 @@
 //!
 //! | class | matched by | band |
 //! |---|---|---|
-//! | analytic counts | `flops`, `bytes_moved`, `*_bytes*`, `*vectors*`, `*_slots`, `*stale*`, `cache_hits/misses/evictions`, `store_hits`, `plan_*`, `requests`, `shed`, `degraded`, `deadline_miss`, `breaker_*`, `store_repairs` | exact (bit-deterministic work/comm/replay models) |
+//! | analytic counts | `flops`, `bytes_moved`, `*_bytes*`, `*vectors*`, `*_slots`, `*stale*`, `cache_hits/misses/evictions`, `store_hits`, `plan_*`, `requests`, `shed`, `degraded`, `deadline_miss`, `breaker_*`, `store_repairs`, `edge_touches_mean`, `pushes_mean` | exact (bit-deterministic work/comm/replay models) |
 //! | derived ratios | `intensity_*`, `*skew*`, `*_ratio` | relative 1e-6 |
-//! | wall time (lower better) | `*seconds*`, `*_secs*`, `*_sec*`, `*_ns` | fresh ≤ base × `time_ratio`, values under `time_floor` always pass |
+//! | wall time (lower better) | `*seconds*`, `*_secs*`, `*_sec*`, `*_ns`, `*_us` | fresh ≤ base × `time_ratio`, values under `time_floor` always pass |
 //! | throughput (higher better) | `gflops`, `*_per_sec`, `*speedup*` | fresh ≥ base ÷ `time_ratio` |
 //! | quantization error | `*_err_*`, `*_err`, `*loss*` | fresh ≤ base × 1.5 + 1e-6 |
 //! | config echo | `threads`, `quick`, `k`, `lanes`, `row_block`, `col_block`, `epochs` | ignored |
@@ -191,6 +191,12 @@ fn classify(path: &str) -> Class {
         || leaf.starts_with("breaker")
         || leaf == "store_repairs"
     {
+        return Class::ExactCount;
+    }
+    // Push-sweep work per query: a pure function of the seeded graph,
+    // sources and tolerance, so a changed push loop that does different
+    // work fails the gate even when it is faster.
+    if leaf == "edge_touches_mean" || leaf == "pushes_mean" {
         return Class::ExactCount;
     }
     // Training losses (and exact-vs-compressed loss deltas) are
@@ -464,7 +470,9 @@ mod tests {
              "queries_per_sec": 52000.0, "prefetch_hits": 7},
             "overload": {"shed_live": 400, "degraded_live": 90,
              "budget_live_ns": 2000000, "goodput_on_per_sec": 30000.0},
-            "chaos": {"store_repairs": 2, "fault_injected": 4}}"#;
+            "chaos": {"store_repairs": 2, "fault_injected": 4},
+            "push_sweep": [{"n": 20000, "push_us": 60.5, "edge_touches_mean": 20512.250,
+             "pushes_mean": 1130.125}]}"#;
         let v = parse(serving).unwrap();
         assert!(compare(&v, &v, &tol()).passed());
         // Replay counters are trace-exact: any drift fails.
@@ -476,6 +484,8 @@ mod tests {
             ("\"deadline_miss\": 30", "\"deadline_miss\": 31"),
             ("\"breaker_trips\": 3", "\"breaker_trips\": 4"),
             ("\"store_repairs\": 2", "\"store_repairs\": 1"),
+            ("20512.250", "20512.375"),
+            ("1130.125", "1130.250"),
         ] {
             let bad = parse(&serving.replace(from, to)).unwrap();
             assert!(!compare(&v, &bad, &tol()).passed(), "{from} must gate exactly");
@@ -495,6 +505,8 @@ mod tests {
         assert!(compare(&v, &slow_ok, &tol()).passed(), "4.4x p99 within band");
         let slow_bad = parse(&serving.replace("900000", "20000000")).unwrap();
         assert!(!compare(&v, &slow_bad, &tol()).passed(), "22x p99 regresses");
+        let slow_push = parse(&serving.replace("60.5", "700.0")).unwrap();
+        assert!(!compare(&v, &slow_push, &tol()).passed(), "11x per-push time regresses");
         // Throughput gates on the low side.
         let starved = parse(&serving.replace("52000.0", "1000.0")).unwrap();
         assert!(!compare(&v, &starved, &tol()).passed(), "52x qps drop regresses");

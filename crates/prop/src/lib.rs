@@ -33,4 +33,4 @@ pub mod push;
 pub mod receptive;
 
 pub use power::{appnp_propagate, hop_embeddings, power_propagate};
-pub use push::{feature_push, forward_push, PushStats};
+pub use push::{feature_push, forward_push, Push, PushStats, PushWorkspace};

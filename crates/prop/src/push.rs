@@ -8,16 +8,24 @@
 //! queries — the survey's §3.2.2 "querying node-level information on
 //! demand instead of the full-graph manner".
 //!
+//! [`PushWorkspace`] is the one implementation of that push. It is a
+//! caller-owned scratch that stays allocated across calls, so a query
+//! costs O(edges it touches) on a graph of any size; the dense
+//! entry points [`forward_push`] and [`forward_push_residuals`] run it on
+//! a fresh workspace and hand its vectors out.
+//!
 //! [`feature_push`] is the SCARA-style feature-oriented variant: instead of
 //! pushing a node-indicator, it pushes an arbitrary (signed) feature column
 //! backwards through the same recurrence, so a whole feature matrix can be
-//! smoothed column-parallel without per-node queries.
+//! smoothed column-parallel without per-node queries. It seeds every node,
+//! so a sparse workspace would buy it nothing.
 
 use sgnn_graph::{CsrGraph, NodeId};
 use sgnn_linalg::DenseMatrix;
+use std::collections::VecDeque;
 
 /// Statistics of one push run (work measures for the experiments).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PushStats {
     /// Number of push operations performed.
     pub pushes: u64,
@@ -48,8 +56,9 @@ pub struct PushStats {
 /// assert!(stats.nnz < 2_000);
 /// ```
 pub fn forward_push(g: &CsrGraph, source: NodeId, alpha: f64, eps: f64) -> (Vec<f64>, PushStats) {
-    let (p, _, stats) = push_impl(g, source, alpha, eps);
-    (p, stats)
+    let mut ws = PushWorkspace::new(g.num_nodes());
+    let stats = ws.run(g, source, alpha, eps);
+    (ws.p, stats)
 }
 
 /// Like [`forward_push`] but also returns the final residual vector —
@@ -60,57 +69,199 @@ pub fn forward_push_residuals(
     alpha: f64,
     eps: f64,
 ) -> (Vec<f64>, Vec<f64>) {
-    let (p, r, _) = push_impl(g, source, alpha, eps);
-    (p, r)
+    let mut ws = PushWorkspace::new(g.num_nodes());
+    ws.run(g, source, alpha, eps);
+    (ws.p, ws.r)
 }
 
-fn push_impl(
-    g: &CsrGraph,
-    source: NodeId,
-    alpha: f64,
-    eps: f64,
-) -> (Vec<f64>, Vec<f64>, PushStats) {
-    let n = g.num_nodes();
-    let mut p = vec![0f64; n];
-    let mut r = vec![0f64; n];
-    let mut stats = PushStats::default();
-    r[source as usize] = 1.0;
-    // Work queue of nodes whose residual exceeds threshold. `in_queue`
-    // guards duplicates; threshold check re-validated on pop.
-    let mut queue = std::collections::VecDeque::new();
-    let mut in_queue = vec![false; n];
-    queue.push_back(source);
-    in_queue[source as usize] = true;
-    while let Some(u) = queue.pop_front() {
-        in_queue[u as usize] = false;
-        let deg = g.degree(u);
-        let ru = r[u as usize];
-        if deg == 0 {
-            // Dangling node: absorb all residual mass into p (walk stays).
-            p[u as usize] += ru;
-            r[u as usize] = 0.0;
+/// Node is in the FIFO.
+const QUEUED: u8 = 1;
+/// Node is on the pushed list (its `p` may be nonzero).
+const PUSHED: u8 = 2;
+
+/// Reusable scratch for the forward push on graphs of `n` nodes.
+///
+/// Holds dense `p` and `r` (f64), one state byte per node (queued and
+/// pushed bits), the list of pushed nodes and the FIFO — about 17 bytes
+/// per node. Between queries every array is zero and both lists are
+/// empty. [`PushWorkspace::push`] runs one query and returns a [`Push`]
+/// view; dropping the view restores the zero state.
+///
+/// The reset needs no per-edge bookkeeping during the push: `p` and the
+/// pushed bit are nonzero only on pushed nodes, the queued bits are all
+/// clear once the FIFO drains, and `r` is nonzero only on the source and
+/// the neighbors of pushed nodes. So the reset walks the pushed nodes'
+/// adjacency — the edges the push already touched — or, once the push
+/// touched more than `n/4` edges, clears the arrays whole (a sequential
+/// fill beats that many scattered writes; DESIGN.md §12 has the
+/// timings). Either way a query costs
+/// O(edges touched), not O(n). The run itself is the ACL loop in FIFO
+/// order, so `p`, `r` and [`PushStats`] are bitwise what a fresh
+/// workspace gives.
+#[derive(Debug, Clone)]
+pub struct PushWorkspace {
+    p: Vec<f64>,
+    r: Vec<f64>,
+    state: Vec<u8>,
+    pushed: Vec<NodeId>,
+    queue: VecDeque<NodeId>,
+}
+
+impl PushWorkspace {
+    /// A clean workspace for graphs of `n` nodes.
+    pub fn new(n: usize) -> Self {
+        PushWorkspace {
+            p: vec![0.0; n],
+            r: vec![0.0; n],
+            state: vec![0; n],
+            pushed: Vec::new(),
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Node count this workspace is sized for.
+    pub fn num_nodes(&self) -> usize {
+        self.p.len()
+    }
+
+    /// Runs the forward push from `source` (same contract as
+    /// [`forward_push`]) and returns a view of the result. The workspace
+    /// is clean again once the view is dropped.
+    pub fn push<'a>(
+        &'a mut self,
+        g: &'a CsrGraph,
+        source: NodeId,
+        alpha: f64,
+        eps: f64,
+    ) -> Push<'a> {
+        let stats = self.run(g, source, alpha, eps);
+        Push { ws: self, g, source, stats }
+    }
+
+    /// True when every array is zero and both lists are empty — the
+    /// state between queries. O(n); meant for tests.
+    pub fn is_clean(&self) -> bool {
+        self.pushed.is_empty()
+            && self.queue.is_empty()
+            && self.p.iter().all(|&v| v.to_bits() == 0)
+            && self.r.iter().all(|&v| v.to_bits() == 0)
+            && self.state.iter().all(|&s| s == 0)
+    }
+
+    /// The push loop, leaving its result in place for the caller.
+    fn run(&mut self, g: &CsrGraph, source: NodeId, alpha: f64, eps: f64) -> PushStats {
+        assert_eq!(g.num_nodes(), self.p.len(), "workspace sized for another graph");
+        let PushWorkspace { p, r, state, pushed, queue } = self;
+        let mut stats = PushStats::default();
+        r[source as usize] = 1.0;
+        // Work queue of nodes whose residual exceeds threshold. The queued
+        // bit guards duplicates; the threshold is re-validated on pop.
+        state[source as usize] = QUEUED;
+        queue.push_back(source);
+        while let Some(u) = queue.pop_front() {
+            let ui = u as usize;
+            state[ui] &= !QUEUED;
+            let deg = g.degree(u);
+            let ru = r[ui];
+            if deg != 0 && ru < eps * deg as f64 {
+                continue;
+            }
             stats.pushes += 1;
-            continue;
+            if state[ui] & PUSHED == 0 {
+                state[ui] |= PUSHED;
+                pushed.push(u);
+            }
+            if deg == 0 {
+                // Dangling node: absorb all residual mass into p (walk stays).
+                p[ui] += ru;
+                r[ui] = 0.0;
+                continue;
+            }
+            stats.edge_touches += deg as u64;
+            p[ui] += alpha * ru;
+            let share = (1.0 - alpha) * ru / deg as f64;
+            r[ui] = 0.0;
+            for &v in g.neighbors(u) {
+                let vi = v as usize;
+                r[vi] += share;
+                // The degree is read only for a node not already queued.
+                if state[vi] & QUEUED == 0 && r[vi] >= eps * g.degree(v).max(1) as f64 {
+                    state[vi] |= QUEUED;
+                    queue.push_back(v);
+                }
+            }
         }
-        if ru < eps * deg as f64 {
-            continue;
+        // Only a push writes p, so the pushed list covers every nonzero.
+        stats.nnz = pushed.iter().filter(|&&v| p[v as usize] > 0.0).count();
+        stats
+    }
+
+    /// Restores the zero state after a run from `source` on `g`.
+    fn reset(&mut self, g: &CsrGraph, source: NodeId, edge_touches: u64) {
+        if edge_touches > (self.p.len() / 4) as u64 {
+            self.p.fill(0.0);
+            self.r.fill(0.0);
+            self.state.fill(0);
+        } else {
+            self.r[source as usize] = 0.0;
+            for &u in &self.pushed {
+                self.p[u as usize] = 0.0;
+                self.state[u as usize] = 0;
+                for &v in g.neighbors(u) {
+                    self.r[v as usize] = 0.0;
+                }
+            }
         }
-        stats.pushes += 1;
-        stats.edge_touches += deg as u64;
-        p[u as usize] += alpha * ru;
-        let share = (1.0 - alpha) * ru / deg as f64;
-        r[u as usize] = 0.0;
-        for &v in g.neighbors(u) {
-            r[v as usize] += share;
-            let dv = g.degree(v).max(1);
-            if !in_queue[v as usize] && r[v as usize] >= eps * dv as f64 {
-                in_queue[v as usize] = true;
-                queue.push_back(v);
+        self.pushed.clear();
+    }
+}
+
+/// One push result borrowed from a [`PushWorkspace`]; dropping it resets
+/// the workspace.
+#[derive(Debug)]
+pub struct Push<'a> {
+    ws: &'a mut PushWorkspace,
+    g: &'a CsrGraph,
+    source: NodeId,
+    stats: PushStats,
+}
+
+impl Push<'_> {
+    /// Work counters of the run.
+    pub fn stats(&self) -> &PushStats {
+        &self.stats
+    }
+
+    /// Dense estimate vector (length n).
+    pub fn p(&self) -> &[f64] {
+        &self.ws.p
+    }
+
+    /// Dense residual vector (length n).
+    pub fn r(&self) -> &[f64] {
+        &self.ws.r
+    }
+
+    /// Calls `f(v, p(v))` for every node with `p(v) ≠ 0`, in ascending id
+    /// order — the order a dense scan of `p` visits them, so sums built
+    /// here are bitwise a dense scan's sums. The order comes from sorting
+    /// the pushed list, which holds every such node.
+    pub fn for_each_nonzero(&mut self, mut f: impl FnMut(NodeId, f64)) {
+        let ws = &mut *self.ws;
+        ws.pushed.sort_unstable();
+        for &v in &ws.pushed {
+            let w = ws.p[v as usize];
+            if w != 0.0 {
+                f(v, w);
             }
         }
     }
-    stats.nnz = p.iter().filter(|&&x| x > 0.0).count();
-    (p, r, stats)
+}
+
+impl Drop for Push<'_> {
+    fn drop(&mut self) {
+        self.ws.reset(self.g, self.source, self.stats.edge_touches);
+    }
 }
 
 /// Exact (to `tol`) PPR by power iteration — the ground-truth baseline the

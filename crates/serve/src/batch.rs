@@ -62,7 +62,10 @@ use std::time::{Duration, Instant};
 
 static BATCHES: sgnn_obs::Counter = sgnn_obs::Counter::new("serve.batch.count");
 static BATCHED_QUERIES: sgnn_obs::Counter = sgnn_obs::Counter::new("serve.batch.queries");
+/// Per request: enqueue → batch admission (queueing plus batch window).
 static QUEUE_WAIT_NS: sgnn_obs::Histogram = sgnn_obs::Histogram::new("serve.queue.wait_ns");
+/// Per request: batch admission → answer ready (the engine's batch call).
+static SERVICE_NS: sgnn_obs::Histogram = sgnn_obs::Histogram::new("serve.service.ns");
 
 /// Admission window configuration.
 #[derive(Debug, Clone)]
@@ -279,9 +282,11 @@ pub fn run_server(
         let done = Instant::now();
         BATCHES.incr();
         BATCHED_QUERIES.add(pending.len() as u64);
+        let service_ns = done.duration_since(admit).as_nanos() as u64;
         for (i, p) in pending.iter().enumerate() {
             let latency_ns = done.duration_since(p.enqueued).as_nanos() as u64;
-            QUEUE_WAIT_NS.record(latency_ns);
+            QUEUE_WAIT_NS.record(admit.duration_since(p.enqueued).as_nanos() as u64);
+            SERVICE_NS.record(service_ns);
             let budget = p.deadline.or(default_deadline);
             let deadline_missed = strategies[i] != Strategy::Shed
                 && budget.is_some_and(|d| done.duration_since(p.enqueued) > d);

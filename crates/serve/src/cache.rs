@@ -1,11 +1,17 @@
 //! Deterministic LRU cache for on-demand embedding rows.
 //!
 //! Recency is tracked with a monotone use-stamp per entry; eviction
-//! removes the minimum stamp. Stamps are unique, so eviction order is a
-//! pure function of the request trace — no hashing order, timing, or
-//! thread interleaving can change which row is dropped. That is what
-//! lets the serving suite assert cache hit/miss/eviction counts are
-//! reproducible run-to-run and across `SGNN_THREADS` settings.
+//! removes the minimum stamp, found in O(log capacity) through an ordered
+//! `stamp → node` index kept beside the map. Stamps are unique, so
+//! eviction order is a pure function of the request trace — no hashing
+//! order, timing, or thread interleaving can change which row is
+//! dropped. That is what lets the serving suite assert cache
+//! hit/miss/eviction counts are reproducible run-to-run and across
+//! `SGNN_THREADS` settings.
+//!
+//! Rows are copied in from slices; once the cache is full an insert
+//! reuses the evicted row's buffer, so steady-state serving allocates
+//! nothing here.
 //!
 //! Each entry carries a quality bit: full-quality rows (FullProp or
 //! escalated answers) versus *stale* rows — sampled-quality rows
@@ -16,7 +22,7 @@
 //! exactly as if stale rows did not exist.
 
 use sgnn_graph::NodeId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 static CACHE_HITS: sgnn_obs::Counter = sgnn_obs::Counter::new("serve.cache.hits");
 static CACHE_MISSES: sgnn_obs::Counter = sgnn_obs::Counter::new("serve.cache.misses");
@@ -30,6 +36,8 @@ pub struct LruCache {
     capacity: usize,
     clock: u64,
     entries: HashMap<NodeId, Entry>,
+    /// `stamp → node` for every resident entry; the first key is the LRU.
+    by_stamp: BTreeMap<u64, NodeId>,
     /// Probe hits since construction.
     pub hits: u64,
     /// Probe misses since construction.
@@ -48,7 +56,15 @@ struct Entry {
 impl LruCache {
     /// An empty cache holding at most `capacity` rows.
     pub fn new(capacity: usize) -> Self {
-        LruCache { capacity, clock: 0, entries: HashMap::new(), hits: 0, misses: 0, evictions: 0 }
+        LruCache {
+            capacity,
+            clock: 0,
+            entries: HashMap::new(),
+            by_stamp: BTreeMap::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
     }
 
     /// Looks up `u` expecting a full-quality row (the zero-pressure
@@ -65,6 +81,8 @@ impl LruCache {
         match self.entries.get_mut(&u) {
             Some(e) if e.full_quality || accept_stale => {
                 self.clock += 1;
+                self.by_stamp.remove(&e.stamp);
+                self.by_stamp.insert(self.clock, u);
                 e.stamp = self.clock;
                 self.hits += 1;
                 CACHE_HITS.incr();
@@ -80,7 +98,7 @@ impl LruCache {
 
     /// Inserts (or refreshes) `u` as a full-quality row, evicting the
     /// least-recently-used entry when full.
-    pub fn insert(&mut self, u: NodeId, row: Vec<f32>) {
+    pub fn insert(&mut self, u: NodeId, row: impl AsRef<[f32]>) {
         self.insert_quality(u, row, true);
     }
 
@@ -88,32 +106,35 @@ impl LruCache {
     /// full-quality insert overwrites a stale row; a stale insert never
     /// downgrades a resident full-quality row (it only refreshes
     /// recency).
-    pub fn insert_quality(&mut self, u: NodeId, row: Vec<f32>, full_quality: bool) {
+    pub fn insert_quality(&mut self, u: NodeId, row: impl AsRef<[f32]>, full_quality: bool) {
         if self.capacity == 0 {
             return;
         }
+        let row = row.as_ref();
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&u) {
+            self.by_stamp.remove(&e.stamp);
+            self.by_stamp.insert(self.clock, u);
             e.stamp = self.clock;
             if full_quality || !e.full_quality {
                 e.full_quality = full_quality;
-                e.row = row;
+                e.row.clear();
+                e.row.extend_from_slice(row);
             }
             return;
         }
+        let mut buf = Vec::new();
         if self.entries.len() >= self.capacity {
             // Stamps are unique, so the minimum is unambiguous.
-            let victim = *self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k)
-                .expect("non-empty at capacity");
-            self.entries.remove(&victim);
+            let (_, victim) = self.by_stamp.pop_first().expect("non-empty at capacity");
+            buf = self.entries.remove(&victim).expect("indexed entry is resident").row;
+            buf.clear();
             self.evictions += 1;
             CACHE_EVICTIONS.incr();
         }
-        self.entries.insert(u, Entry { stamp: self.clock, full_quality, row });
+        buf.extend_from_slice(row);
+        self.by_stamp.insert(self.clock, u);
+        self.entries.insert(u, Entry { stamp: self.clock, full_quality, row: buf });
     }
 
     /// Rows currently resident.

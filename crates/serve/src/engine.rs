@@ -30,16 +30,23 @@
 //! fault plan, store reads are CRC-verified and corrupted rows are
 //! rebuilt with the same push kernel that built them; `Hot` store
 //! repairs are bitwise.
+//!
+//! Every on-demand push (fresh rows, escalations, store repairs) runs on
+//! one [`PushWorkspace`] the engine owns, and acquired rows are written
+//! straight into the batch's embedding matrix, so a request allocates
+//! nothing proportional to the graph. A node id outside the graph is
+//! answered at the `Shed` tier: zero logits, no push, no head row.
 
 use crate::cache::LruCache;
 use crate::plan::{PlannerConfig, QueryPlanner, RowState, Strategy};
 use crate::pressure::{BreakerConfig, CircuitBreaker, Pressure};
-use crate::push::fresh_row;
+use crate::push::fresh_row_into;
 use crate::store::{EmbeddingStore, PrecomputePolicy};
 use sgnn_fault::FaultPlan;
 use sgnn_graph::{CsrGraph, NodeId};
 use sgnn_linalg::{DenseMatrix, QuantMode};
 use sgnn_nn::Mlp;
+use sgnn_prop::PushWorkspace;
 use std::sync::Arc;
 
 static REQUEST_NS: sgnn_obs::Histogram = sgnn_obs::Histogram::new("serve.request.ns");
@@ -152,6 +159,7 @@ pub struct ServeEngine {
     planner: QueryPlanner,
     cache: LruCache,
     breaker: Option<CircuitBreaker>,
+    ws: PushWorkspace,
     stats: ServeStats,
 }
 
@@ -163,6 +171,7 @@ impl ServeEngine {
         let planner = QueryPlanner::new(&g, cfg.planner.clone());
         let cache = LruCache::new(cfg.cache_capacity);
         let breaker = cfg.breaker.clone().map(CircuitBreaker::new);
+        let ws = PushWorkspace::new(g.num_nodes());
         ServeEngine {
             g,
             x,
@@ -172,6 +181,7 @@ impl ServeEngine {
             planner,
             cache,
             breaker,
+            ws,
             stats: ServeStats::default(),
         }
     }
@@ -237,7 +247,11 @@ impl ServeEngine {
     ) -> (DenseMatrix, Vec<Strategy>) {
         let _t = BATCH_NS.time();
         let d = self.x.cols();
-        let mut rows: Vec<Option<Vec<f32>>> = Vec::with_capacity(nodes.len());
+        let n = self.g.num_nodes();
+        // Live (non-shed) rows are written in order into the first rows
+        // of `emb`; `live[r]` is the request index of row `r`.
+        let mut emb = DenseMatrix::zeros(nodes.len(), d);
+        let mut live = Vec::with_capacity(nodes.len());
         let mut strategies = Vec::with_capacity(nodes.len());
         let mut effective = Vec::with_capacity(nodes.len());
         // Row acquisition in request order: every cache/planner update
@@ -245,32 +259,41 @@ impl ServeEngine {
         for (i, &u) in nodes.iter().enumerate() {
             let (pressure, expired) = ctx.map_or((Pressure::Normal, false), |c| c[i]);
             let eff = if expired { pressure.max(Pressure::CachedOnly) } else { pressure };
+            let eff = if (u as usize) < n { eff } else { Pressure::Shed };
             if let Some(plan) = self.cfg.fault_plan.clone() {
                 if let Some(delay) = plan.poll_request_spike(self.stats.requests + i as u64) {
                     std::thread::sleep(delay);
                 }
             }
-            let (row, strategy) =
-                self.acquire_row_pressured(u, eff, self.stats.requests + i as u64);
-            rows.push(row);
+            let strategy = self.acquire_row_pressured(
+                u,
+                eff,
+                self.stats.requests + i as u64,
+                emb.row_mut(live.len()),
+            );
+            if strategy != Strategy::Shed {
+                live.push(i);
+            }
             strategies.push(strategy);
             effective.push(eff);
         }
         // One head matmul over the non-shed rows; shed rows get zero
         // logits without occupying the head. With no sheds this is the
-        // identical full-batch matmul of the PR 9 path.
-        let live: Vec<usize> = (0..nodes.len()).filter(|&i| rows[i].is_some()).collect();
-        let mut emb = DenseMatrix::zeros(live.len(), d);
-        for (r, &i) in live.iter().enumerate() {
-            emb.row_mut(r).copy_from_slice(rows[i].as_ref().expect("live row"));
-        }
-        // A 0-row matmul still reports the head's output width, so an
-        // all-shed batch shapes its zero logits correctly.
-        let live_logits = self.head_forward(&emb);
-        let mut logits = DenseMatrix::zeros(nodes.len(), live_logits.cols());
-        for (r, &i) in live.iter().enumerate() {
-            logits.row_mut(i).copy_from_slice(live_logits.row(r));
-        }
+        // identical full-batch matmul of the un-pressured path. A 0-row matmul
+        // still reports the head's output width, so an all-shed batch
+        // shapes its zero logits correctly.
+        let mut logits = if live.len() == nodes.len() {
+            self.head_forward(&emb)
+        } else {
+            let mut data = emb.into_vec();
+            data.truncate(live.len() * d);
+            let live_logits = self.head_forward(&DenseMatrix::from_vec(live.len(), d, data));
+            let mut logits = DenseMatrix::zeros(nodes.len(), live_logits.cols());
+            for (r, &i) in live.iter().enumerate() {
+                logits.row_mut(i).copy_from_slice(live_logits.row(r));
+            }
+            logits
+        };
         if let Some(tau) = self.cfg.planner.escalate_below {
             for (i, s) in strategies.iter_mut().enumerate() {
                 if *s != Strategy::Sampled
@@ -283,11 +306,17 @@ impl ServeEngine {
                 // tolerance, admit the full row, re-run the head on
                 // just this row.
                 let u = nodes[i];
-                let full =
-                    fresh_row(&self.g, &self.x, u, self.cfg.alpha, self.cfg.planner.full_eps);
-                self.cache.insert(u, full.clone());
                 let mut one = DenseMatrix::zeros(1, d);
-                one.row_mut(0).copy_from_slice(&full);
+                fresh_row_into(
+                    &mut self.ws,
+                    &self.g,
+                    &self.x,
+                    u,
+                    self.cfg.alpha,
+                    self.cfg.planner.full_eps,
+                    one.row_mut(0),
+                );
+                self.cache.insert(u, one.row(0));
                 let fixed = self.head_forward(&one);
                 logits.row_mut(i).copy_from_slice(fixed.row(0));
                 self.stats.plan_escalated += 1;
@@ -300,7 +329,8 @@ impl ServeEngine {
         (logits, strategies)
     }
 
-    /// Store → cache → fresh push (or shed), at `eff` ladder pressure.
+    /// Store → cache → fresh push (or shed), at `eff` ladder pressure,
+    /// writing the row into `out` unless the answer is `Shed`.
     /// `req_idx` is the global request index, the positional key for
     /// store-corruption faults. Full-quality-only cache admission at
     /// `Normal`; sampled rows are admitted as *stale* under pressure.
@@ -309,25 +339,23 @@ impl ServeEngine {
         u: NodeId,
         eff: Pressure,
         req_idx: u64,
-    ) -> (Option<Vec<f32>>, Strategy) {
+        out: &mut [f32],
+    ) -> Strategy {
         if eff == Pressure::Shed {
-            let s = self.planner.plan_pressured(u, RowState::Absent, eff);
-            return (None, s);
+            return self.planner.plan_pressured(u, RowState::Absent, eff);
         }
         if self.store.get(u).is_some() {
             self.verify_store_row(u, req_idx);
-            let row = self.store.get(u).expect("present row").to_vec();
+            out.copy_from_slice(self.store.get(u).expect("present row"));
             self.stats.store_hits += 1;
             STORE_HITS.incr();
-            let s = self.planner.plan_pressured(u, RowState::Fresh, eff);
-            return (Some(row), s);
+            return self.planner.plan_pressured(u, RowState::Fresh, eff);
         }
         let accept_stale = eff >= Pressure::Degraded;
         if let Some((row, full_quality)) = self.cache.probe(u, accept_stale) {
-            let row = row.to_vec();
+            out.copy_from_slice(row);
             let state = if full_quality { RowState::Fresh } else { RowState::Stale };
-            let s = self.planner.plan_pressured(u, state, eff);
-            return (Some(row), s);
+            return self.planner.plan_pressured(u, state, eff);
         }
         // No row anywhere. Consult the breaker only when the ladder
         // would pick FullProp (Normal pressure, non-hub): each consult
@@ -338,19 +366,19 @@ impl ServeEngine {
         let eps = match s {
             Strategy::FullProp => self.cfg.planner.full_eps,
             Strategy::Sampled => self.cfg.planner.sampled_eps,
-            Strategy::Shed => return (None, s),
+            Strategy::Shed => return s,
             Strategy::Cached | Strategy::Stale => unreachable!("planner saw RowState::Absent"),
         };
-        let row = fresh_row(&self.g, &self.x, u, self.cfg.alpha, eps);
+        fresh_row_into(&mut self.ws, &self.g, &self.x, u, self.cfg.alpha, eps, out);
         if s == Strategy::FullProp {
-            self.cache.insert(u, row.clone());
+            self.cache.insert(u, &*out);
         } else if s == Strategy::Sampled && eff >= Pressure::Degraded {
             // Pressure admission: a coarse row is better than nothing
             // for the next overloaded request, marked stale so it is
             // invisible once pressure drops.
-            self.cache.insert_quality(u, row.clone(), false);
+            self.cache.insert_quality(u, &*out, false);
         }
-        (Some(row), s)
+        s
     }
 
     /// Chaos path, armed only by a fault plan: corrupt the store row if
@@ -369,7 +397,8 @@ impl ServeEngine {
                 PrecomputePolicy::Full { rmax } => rmax.max(1e-9),
                 PrecomputePolicy::None => unreachable!("None store has no rows to verify"),
             };
-            let rebuilt = fresh_row(&self.g, &self.x, u, self.cfg.alpha, eps);
+            let mut rebuilt = vec![0f32; self.x.cols()];
+            fresh_row_into(&mut self.ws, &self.g, &self.x, u, self.cfg.alpha, eps, &mut rebuilt);
             self.store.repair(u, &rebuilt);
             self.stats.store_repairs += 1;
             STORE_REPAIRS.incr();
@@ -548,6 +577,24 @@ mod tests {
         assert_eq!(logits.rows(), 3);
         assert_eq!(e.stats().shed, 3);
         assert_eq!(e.stats().requests, 3);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_shed_without_a_push() {
+        let mut e = engine(PrecomputePolicy::Hot { count: 20, eps: 1e-7 }, 16);
+        let (logits, s) = e.serve_one(120);
+        assert_eq!(s, Strategy::Shed);
+        assert!(logits.iter().all(|&v| v == 0.0));
+        assert_eq!(logits.len(), 3);
+        assert_eq!((e.stats().shed, e.stats().plan_full + e.stats().plan_sampled), (1, 0));
+        // A bad id inside a batch leaves its neighbors' answers alone.
+        let mut clean = engine(PrecomputePolicy::Hot { count: 20, eps: 1e-7 }, 16);
+        let mixed = e.serve_batch(&[3, u32::MAX, 50]);
+        let want = clean.serve_batch(&[3, 50]);
+        assert!(mixed.row(1).iter().all(|&v| v == 0.0));
+        assert_eq!(mixed.row(0), want.row(0));
+        assert_eq!(mixed.row(2), want.row(1));
+        assert_eq!((e.stats().shed, e.stats().requests), (2, 4));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use engine::{PressuredRequest, ServeConfig, ServeEngine, ServeStats};
 pub use plan::{PlannerConfig, QueryPlanner, RowState, Strategy};
 pub use pressure::{BreakerConfig, CircuitBreaker, OverloadConfig, Pressure, PressureConfig};
 pub use push::{
-    fresh_row, smooth_column, smooth_column_exact, smooth_column_push, smooth_matrix,
-    smooth_matrix_seq, ServePushStats,
+    fresh_row, fresh_row_into, smooth_column, smooth_column_exact, smooth_column_push,
+    smooth_matrix, smooth_matrix_seq, ServePushStats,
 };
 pub use store::{EmbeddingStore, PrecomputePolicy};

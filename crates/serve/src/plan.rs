@@ -154,10 +154,13 @@ impl QueryPlanner {
     }
 
     /// True when `u` trips the degree/frontier hub rule (its
-    /// zero-pressure miss tier is `Sampled` rather than `FullProp`).
+    /// zero-pressure miss tier is `Sampled` rather than `FullProp`). An
+    /// id outside the graph is not a hub; the engine sheds such ids
+    /// before any tier could push them.
     pub(crate) fn is_hub(&self, u: NodeId) -> bool {
-        self.degree[u as usize] >= self.cfg.hub_degree
-            || self.frontier[u as usize] >= self.cfg.hub_frontier
+        let u = u as usize;
+        self.degree.get(u).is_some_and(|&d| d >= self.cfg.hub_degree)
+            || self.frontier.get(u).is_some_and(|&f| f >= self.cfg.hub_frontier)
     }
 
     /// The graceful-degradation ladder (DESIGN.md §13). Pure in

@@ -8,6 +8,8 @@
 //! what [`sgnn_prop::forward_push`] computes — so the per-request fresh
 //! path ([`fresh_row`]) and the precomputed store agree on the same
 //! operator, and the serving differential tests can compare them.
+//! [`fresh_row_into`] runs that push on a caller-owned
+//! [`PushWorkspace`], so an on-demand row costs O(edges the push touches).
 //!
 //! Two kernels per feature column:
 //!
@@ -33,6 +35,8 @@
 use sgnn_graph::{CsrGraph, NodeId};
 use sgnn_linalg::par::par_map_chunks;
 use sgnn_linalg::DenseMatrix;
+use sgnn_prop::{PushStats, PushWorkspace};
+use std::cell::RefCell;
 
 /// Work statistics of one smoothing run (aggregated across columns for
 /// the matrix builders).
@@ -230,20 +234,50 @@ pub fn smooth_matrix_seq(
 /// `Sampled` with a coarse one; both accumulate the sparse dot in f64
 /// over ascending node ids, so the row bits are a pure function of
 /// `(graph, features, u, alpha, eps)`.
+///
+/// Runs on a workspace kept per thread across calls, so a call costs
+/// O(edges touched) after the first on a graph of that size. Callers that
+/// own a [`PushWorkspace`] use [`fresh_row_into`].
 pub fn fresh_row(g: &CsrGraph, x: &DenseMatrix, u: NodeId, alpha: f64, eps: f64) -> Vec<f32> {
-    let d = x.cols();
-    let (pi, _) = sgnn_prop::forward_push(g, u, alpha, eps);
-    let mut acc = vec![0f64; d];
-    for (v, &w) in pi.iter().enumerate() {
-        if w == 0.0 {
-            continue;
-        }
-        let row = x.row(v);
-        for (c, a) in acc.iter_mut().enumerate() {
-            *a += w * row[c] as f64;
-        }
+    thread_local! {
+        static SCRATCH: RefCell<PushWorkspace> = RefCell::new(PushWorkspace::new(0));
     }
-    acc.into_iter().map(|v| v as f32).collect()
+    let mut row = vec![0f32; x.cols()];
+    SCRATCH.with_borrow_mut(|ws| {
+        if ws.num_nodes() != g.num_nodes() {
+            *ws = PushWorkspace::new(g.num_nodes());
+        }
+        fresh_row_into(ws, g, x, u, alpha, eps, &mut row);
+    });
+    row
+}
+
+/// [`fresh_row`] through a caller-owned workspace, written into `out`
+/// (length `x.cols()`). Returns the push's work counters. The sum runs
+/// over the pushed nodes in ascending id order, exactly the terms and
+/// order of a dense scan of `π_u`, so the bits do not depend on which
+/// workspace ran the push or what it ran before.
+pub fn fresh_row_into(
+    ws: &mut PushWorkspace,
+    g: &CsrGraph,
+    x: &DenseMatrix,
+    u: NodeId,
+    alpha: f64,
+    eps: f64,
+    out: &mut [f32],
+) -> PushStats {
+    assert_eq!(out.len(), x.cols(), "output row must match the feature width");
+    let mut acc = vec![0f64; x.cols()];
+    let mut push = ws.push(g, u, alpha, eps);
+    push.for_each_nonzero(|v, w| {
+        for (a, &xv) in acc.iter_mut().zip(x.row(v as usize)) {
+            *a += w * xv as f64;
+        }
+    });
+    for (o, &a) in out.iter_mut().zip(&acc) {
+        *o = a as f32;
+    }
+    push.stats().clone()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Analytic invariants of the serving push kernels (DESIGN.md §12).
 //!
-//! Three families:
+//! Four families:
 //!
 //! - **Termination contract** — `smooth_column_push` returns with every
 //!   residual strictly below `rmax`; the estimate is then within `rmax`
@@ -15,13 +15,19 @@
 //!   with the permutation to f64 summation-order noise, and thresholded
 //!   push answers stay within the `2·rmax` triangle bound even though
 //!   the push *order* (and hence the exact bits) changes.
+//! - **Workspace reuse** — one `PushWorkspace` reused across a random
+//!   sequence of queries gives bitwise what a fresh workspace gives
+//!   (`p`, `r`, `PushStats`), `fresh_row_into` equals the dense
+//!   ascending-scan accumulation bitwise, and the workspace is all zero
+//!   after every call.
 
 use proptest::prelude::*;
 use sgnn::graph::reorder::{compute_order, relabel, Reordering};
-use sgnn::graph::{generate, NodeId};
-use sgnn::prop::forward_push;
-use sgnn::prop::push::ppr_power;
-use sgnn::serve::{smooth_column_exact, smooth_column_push};
+use sgnn::graph::{generate, CsrGraph, GraphBuilder, NodeId};
+use sgnn::linalg::DenseMatrix;
+use sgnn::prop::push::{forward_push_residuals, ppr_power};
+use sgnn::prop::{forward_push, PushWorkspace};
+use sgnn::serve::{fresh_row_into, smooth_column_exact, smooth_column_push};
 
 /// Permutes a feature column alongside `relabel`'s `old → new` map.
 fn permute(x: &[f64], new_of_old: &[NodeId]) -> Vec<f64> {
@@ -35,6 +41,79 @@ fn permute(x: &[f64], new_of_old: &[NodeId]) -> Vec<f64> {
 fn column(n: usize, seed: u64) -> Vec<f64> {
     // Signed, deterministic, O(1)-magnitude feature column.
     (0..n).map(|i| (((i as u64 * 2654435761 + seed) % 1000) as f64 / 500.0) - 1.0).collect()
+}
+
+fn f64_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn f32_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The dense row formula `fresh_row` used before the sparse workspace:
+/// scan all of `π_u` in ascending id order, skip zeros, accumulate
+/// `π_u(v)·x_v` in f64. The workspace's sum over its sorted pushed list
+/// must reproduce it bit for bit.
+fn dense_scan_row(pi: &[f64], x: &DenseMatrix) -> Vec<f32> {
+    let mut acc = vec![0f64; x.cols()];
+    for (v, &w) in pi.iter().enumerate() {
+        if w == 0.0 {
+            continue;
+        }
+        let row = x.row(v);
+        for (c, a) in acc.iter_mut().enumerate() {
+            *a += w * row[c] as f64;
+        }
+    }
+    acc.into_iter().map(|v| v as f32).collect()
+}
+
+/// Runs `(source, eps)` on the reused `ws` and checks it against a fresh
+/// workspace and the dense row formula. Returns whether the reset took
+/// the whole-clear path: by `PushWorkspace`'s reset rule, the push
+/// touched more than `n/4` edges.
+fn check_reused_query(
+    ws: &mut PushWorkspace,
+    g: &CsrGraph,
+    x: &DenseMatrix,
+    src: NodeId,
+    eps: f64,
+) -> Result<bool, String> {
+    const ALPHA: f64 = 0.15;
+    let (p_fresh, r_fresh) = forward_push_residuals(g, src, ALPHA, eps);
+    let (_, stats_fresh) = forward_push(g, src, ALPHA, eps);
+    {
+        let mut push = ws.push(g, src, ALPHA, eps);
+        if f64_bits(push.p()) != f64_bits(&p_fresh) || f64_bits(push.r()) != f64_bits(&r_fresh) {
+            return Err(format!("reused p/r differ from a fresh workspace (src {src}, eps {eps})"));
+        }
+        if push.stats() != &stats_fresh {
+            return Err(format!("stats {:?} != fresh {:?}", push.stats(), stats_fresh));
+        }
+        // The row sum's visiting order: every nonzero, ascending by id.
+        let mut visited = Vec::new();
+        push.for_each_nonzero(|v, w| visited.push((v, w.to_bits())));
+        let dense: Vec<(NodeId, u64)> = (0..p_fresh.len() as NodeId)
+            .filter(|&v| p_fresh[v as usize] != 0.0)
+            .map(|v| (v, p_fresh[v as usize].to_bits()))
+            .collect();
+        if visited != dense {
+            return Err(format!("nonzeros not visited in ascending id order (src {src})"));
+        }
+    }
+    if !ws.is_clean() {
+        return Err("workspace not zero after the push view dropped".into());
+    }
+    let mut row = vec![0f32; x.cols()];
+    let stats = fresh_row_into(ws, g, x, src, ALPHA, eps, &mut row);
+    if !ws.is_clean() {
+        return Err("workspace not zero after fresh_row_into".into());
+    }
+    if stats != stats_fresh || f32_bits(&row) != f32_bits(&dense_scan_row(&p_fresh, x)) {
+        return Err(format!("fresh_row_into differs from the dense scan (src {src}, eps {eps})"));
+    }
+    Ok(stats.edge_touches > (g.num_nodes() / 4) as u64)
 }
 
 proptest! {
@@ -134,6 +213,68 @@ proptest! {
                 "push broke the 2·rmax relabel bound: node {} diff {:.3e}", u, diff
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One workspace reused across a random query sequence on graphs
+    /// with isolated and dangling nodes, self-loops and multi-edges (n = 1
+    /// included)
+    /// answers every query bitwise like a fresh workspace and the dense
+    /// row formula, and is all zero after every call.
+    #[test]
+    fn reused_workspace_matches_fresh_pushes_bitwise(
+        n in 1usize..64,
+        edges in proptest::collection::vec((0u32..64, 0u32..64), 0..200),
+        queries in proptest::collection::vec((0u32..64, 0usize..5), 1..16),
+        directed in proptest::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        let edges: Vec<(NodeId, NodeId)> =
+            edges.into_iter().map(|(u, v)| (u % n as NodeId, v % n as NodeId)).collect();
+        // Leave the top quarter of the id range without edges: isolated.
+        let keep = n - n / 4;
+        let edges: Vec<_> =
+            edges.into_iter().filter(|&(u, v)| (u as usize) < keep && (v as usize) < keep).collect();
+        // Directed graphs add dangling nodes that absorb their mass.
+        let builder = if directed { GraphBuilder::new(n) } else { GraphBuilder::new(n).symmetric() };
+        let g = builder.edges(&edges).build().unwrap();
+        let x = DenseMatrix::gaussian(n, 3, 1.0, seed);
+        let mut ws = PushWorkspace::new(n);
+        for (src, e) in queries {
+            let eps = [0.3, 1e-2, 1e-4, 1e-7, 1e-12][e];
+            let checked = check_reused_query(&mut ws, &g, &x, src % n as NodeId, eps);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        }
+    }
+}
+
+/// The query mix below takes both reset paths (adjacency walk and whole
+/// clear) on a reused workspace, each bitwise-checked.
+#[test]
+fn workspace_covers_both_reset_paths() {
+    let star = generate::star(4096);
+    let ba = generate::barabasi_albert(4096, 3, 5);
+    // Directed fan: node 0 points at 1000 sinks, which absorb their mass.
+    let fan_edges: Vec<(NodeId, NodeId)> = (1..=1000).map(|v| (0, v)).collect();
+    let fan = GraphBuilder::new(4096).edges(&fan_edges).build().unwrap();
+    let mut seen = Vec::new();
+    for (g, src, eps) in [
+        (&ba, 4000, 1e-2),  // few pushes, few touches
+        (&star, 0, 2.2e-4), // one push touching every leaf
+        (&ba, 0, 1e-9),     // pushes most of the graph
+        (&fan, 0, 1e-6),    // many pushes, few edges: the sinks have none
+    ] {
+        let x = DenseMatrix::gaussian(g.num_nodes(), 4, 1.0, 3);
+        let mut ws = PushWorkspace::new(g.num_nodes());
+        // Dirty the workspace first so every query runs on a reused one.
+        check_reused_query(&mut ws, g, &x, 1, 1e-3).unwrap();
+        seen.push(check_reused_query(&mut ws, g, &x, src, eps).unwrap());
+    }
+    for whole_clear in [true, false] {
+        assert!(seen.contains(&whole_clear), "no query took whole_clear={whole_clear}: {seen:?}");
     }
 }
 

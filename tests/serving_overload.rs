@@ -292,6 +292,49 @@ fn racing_producers_and_close_lose_no_accepted_query() {
     assert_eq!(q.shed_count() + accepted, q.shed_count() + served.len() as u64);
 }
 
+/// A node id outside the graph from a producer must not take the server
+/// down: it is answered at the `Shed` tier, and every other request is
+/// still answered, in order, exactly as without it.
+#[test]
+fn out_of_range_node_id_is_shed_not_a_panic() {
+    let trace: Vec<NodeId> = (0..40u32).map(|i| (i * 7) % N as u32).collect();
+    let serve = |bad_at: Option<usize>| {
+        let mut e = engine(hot(), None);
+        let q = AdmissionQueue::new();
+        for (i, &u) in trace.iter().enumerate() {
+            if bad_at == Some(i) {
+                assert!(q.push(N as NodeId + 5));
+            }
+            assert!(q.push(u));
+        }
+        q.close();
+        let served = run_server(
+            &mut e,
+            &q,
+            &BatchConfig { deadline: Duration::ZERO, max_batch: 8, overload: None },
+        );
+        (served, e.stats().clone())
+    };
+    let (clean, clean_stats) = serve(None);
+    let (served, stats) = serve(Some(13));
+    assert_eq!(served.len(), trace.len() + 1, "every request must be answered");
+    assert_eq!(served[13].node, N as NodeId + 5);
+    assert_eq!(served[13].strategy, Strategy::Shed);
+    let rest: Vec<_> =
+        served.iter().enumerate().filter(|&(i, _)| i != 13).map(|(_, s)| s).collect();
+    assert_eq!(rest.iter().map(|s| s.node).collect::<Vec<_>>(), trace, "answers out of order");
+    assert_eq!(
+        rest.iter().map(|s| s.strategy).collect::<Vec<_>>(),
+        clean.iter().map(|s| s.strategy).collect::<Vec<_>>()
+    );
+    assert_eq!(stats.shed, 1);
+    assert_eq!(stats.requests, clean_stats.requests + 1);
+    assert_eq!(
+        stats.plan_full + stats.plan_sampled,
+        clean_stats.plan_full + clean_stats.plan_sampled
+    );
+}
+
 /// Armed serving faults in the full loop: a latency spike delays but
 /// never changes an answer, and store-row corruption is caught by the
 /// CRC verify and repaired in place — all accepted queries are still
