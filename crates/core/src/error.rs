@@ -47,6 +47,10 @@ pub enum TrainError {
     /// The dataset has zero classes — predictions would have zero
     /// columns and argmax would be undefined.
     EmptyLogits,
+    /// Caller input the trainer cannot run: a fanout list that does not
+    /// match the layer count, a partition that does not fit the dataset,
+    /// or checkpoint settings for a trainer with no checkpointable state.
+    InvalidInput(String),
 }
 
 /// Trainer result alias.
@@ -67,6 +71,7 @@ impl std::fmt::Display for TrainError {
             TrainError::EmptyLogits => {
                 write!(f, "dataset has zero classes; predictions would be empty")
             }
+            TrainError::InvalidInput(why) => write!(f, "invalid input: {why}"),
         }
     }
 }

@@ -9,9 +9,10 @@
 //!   hop attention, and implicit GNNs with three equilibrium solvers.
 //! - [`trainer`] / [`trainer_ext`] — training loops for each scalability family: full-batch,
 //!   decoupled mini-batch, neighbor-sampled, subgraph-sampled
-//!   (GraphSAINT / Cluster-GCN), and coarse-graph training, all producing
-//!   a common [`trainer::TrainReport`] with time and peak-memory
-//!   accounting.
+//!   (GraphSAINT / Cluster-GCN), and coarse-graph training, all run by
+//!   one private epoch driver (resume, kill polls, early stopping,
+//!   checkpoints, per-batch memory charges) and producing a common
+//!   [`trainer::TrainReport`] with time and peak-memory accounting.
 //! - [`pipeline`] — double-buffered batch prefetch: mini-batch trainers
 //!   sample batch `i+1` on a background thread while batch `i` computes,
 //!   with bitwise-identical results to the inline path.
@@ -30,6 +31,7 @@
 #![allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 
 pub mod ckpt;
+mod driver;
 pub mod error;
 pub mod memory;
 pub mod metrics;

@@ -48,14 +48,12 @@
 //! the *global* operator is released once the plan is built — the
 //! sharded trainer's resident set is the plan, not the graph.
 
-use crate::ckpt::CkptSidecar;
+use crate::ckpt::{CkptSidecar, SlotParams};
+use crate::driver::{layer_dims, new_gcn, Checkpointed, Driver, Epoch};
 use crate::error::{TrainError, TrainResult};
-use crate::models::gcn::{gcn_operator, Gcn, GcnConfig};
+use crate::models::gcn::{gcn_operator, Gcn};
 use crate::shard_comm::CommState;
-use crate::trainer::{
-    apply_resume, build_ledger, ensure_classes, maybe_checkpoint, poll_epoch_kill, EarlyStopper,
-    TrainConfig, TrainReport,
-};
+use crate::trainer::{TrainConfig, TrainReport};
 use sgnn_data::Dataset;
 use sgnn_fault::crc::crc32_f32s;
 use sgnn_fault::FaultPlan;
@@ -66,8 +64,7 @@ use sgnn_linalg::reduce::{accumulate_fx, colsum_fx, grad_fx, merge_fx};
 use sgnn_linalg::{vecops, DenseMatrix};
 use sgnn_nn::layers::Dropout;
 use sgnn_nn::loss::{loss_from_fx, xent_grad_row, xent_softmaxed_row_fx};
-use sgnn_nn::optim::Adam;
-use sgnn_obs::{Phase, PhaseBreakdown};
+use sgnn_obs::Phase;
 use sgnn_partition::{Partition, ShardPlan};
 use std::time::Instant;
 
@@ -647,16 +644,21 @@ impl Runtime<'_> {
         })
     }
 
-    /// Compressed training forward (DESIGN.md §11): layer 0 aggregates
-    /// from the feature slice exactly like the exact path; later layers
+    /// Training forward: per layer, a compute superstep (one pool task
+    /// per shard) followed by a halo-exchange superstep; the
+    /// `par_map_chunks` join is the BSP barrier. Returns per-shard
+    /// owned-row logits plus the caches backward needs (`Â·H` inputs and
+    /// ReLU masks).
+    ///
+    /// In the compressed regime (DESIGN.md §11), layers after the first
     /// merge the interior aggregation precomputed during the previous
     /// exchange with boundary rows recomputed over the assembled
     /// (quantized and possibly stale) inputs. The dense tail of every
-    /// layer — matmul, bias, ReLU, stateless dropout — is
-    /// element-for-element the exact path's code, which is why `F32`
-    /// quantization with staleness ≤ 1 reproduces it bitwise.
+    /// layer — matmul, bias, ReLU, stateless dropout — is the same code in
+    /// both regimes, which is why `F32` quantization with staleness ≤ 1
+    /// reproduces the exact path bitwise.
     #[allow(clippy::type_complexity)]
-    fn forward_compressed(
+    fn forward_train(
         &mut self,
         gcn: &Gcn,
         epoch: u64,
@@ -679,102 +681,28 @@ impl Runtime<'_> {
             let cs = Dropout::call_seed(self.seed.wrapping_add(100 + i as u64), epoch);
             let p = self.p_drop;
             let (plan, ctxs) = (self.plan, self.ctxs);
-            let op_boundary = &self.comm_state.as_ref().expect("compressed regime").op_boundary;
+            let op_boundary = self.comm_state.as_ref().map(|st| &st.op_boundary);
             let (h_ref, x_ref) = (&h_locals, &x_int);
             let results: Vec<(DenseMatrix, DenseMatrix, Vec<bool>)> = par_map_chunks(k, |s| {
                 let shard = &plan.shards[s];
-                let x_owned = if i == 0 {
-                    let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                    spmm_into(&shard.op, &ctxs[s].features, &mut scratch);
-                    scratch.gather_rows(&ctxs[s].owned_rows)
-                } else {
-                    let mut x = x_ref[s].clone();
-                    let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                    spmm_into(&op_boundary[s], &h_ref[s], &mut scratch);
-                    for &r in shard.boundary_rows() {
-                        x.row_mut(r as usize)
-                            .copy_from_slice(scratch.row(shard.owned_local[r as usize] as usize));
-                    }
-                    x
-                };
-                let mut z = x_owned.matmul(w).expect("linear shapes");
-                for r in 0..z.rows() {
-                    vecops::axpy(1.0, b.row(0), z.row_mut(r));
-                }
-                let mut mask = Vec::new();
-                if !last {
-                    mask.reserve(z.rows() * d_out);
-                    for (r, &g) in shard.owned.iter().enumerate() {
-                        let row = z.row_mut(r);
-                        for (c, slot) in row.iter_mut().enumerate() {
-                            let v = *slot;
-                            mask.push(v > 0.0);
-                            *slot = v.max(0.0)
-                                * Dropout::element_scale(cs, p, g as u64 * d_out as u64 + c as u64);
-                        }
-                    }
-                }
-                (z, x_owned, mask)
-            });
-            let mut zs = Vec::with_capacity(k);
-            let mut xs = Vec::with_capacity(k);
-            let mut ms = Vec::with_capacity(k);
-            for (z, x, m) in results {
-                zs.push(z);
-                xs.push(x);
-                ms.push(m);
-            }
-            x_caches.push(xs);
-            if last {
-                logits = zs;
-            } else {
-                relu_masks.push(ms);
-                if self.poll_superstep() {
-                    return (logits, x_caches, relu_masks);
-                }
-                let (fulls, interiors) = self.exchange_compressed_fwd(i, &zs, d_out);
-                h_locals = fulls;
-                x_int = interiors;
-            }
-        }
-        (logits, x_caches, relu_masks)
-    }
-
-    /// Training forward: per layer, a compute superstep (one pool task
-    /// per shard) followed by a halo-exchange superstep; the
-    /// `par_map_chunks` join is the BSP barrier. Returns per-shard
-    /// owned-row logits plus the caches backward needs (`Â·H` inputs and
-    /// ReLU masks).
-    #[allow(clippy::type_complexity)]
-    fn forward_train(
-        &mut self,
-        gcn: &Gcn,
-        epoch: u64,
-    ) -> (Vec<DenseMatrix>, Vec<Vec<DenseMatrix>>, Vec<Vec<Vec<bool>>>) {
-        let l = self.num_layers();
-        let k = self.plan.k;
-        let mut x_caches: Vec<Vec<DenseMatrix>> = Vec::with_capacity(l);
-        let mut relu_masks: Vec<Vec<Vec<bool>>> = Vec::with_capacity(l.saturating_sub(1));
-        let mut h_locals: Vec<DenseMatrix> = Vec::new();
-        let mut logits: Vec<DenseMatrix> = Vec::new();
-        for i in 0..l {
-            if self.poll_superstep() {
-                return (logits, x_caches, relu_masks);
-            }
-            let layer = gcn.layer(i);
-            let (w, b) = (&layer.w, &layer.b);
-            let (d_in, d_out) = (self.dims[i], self.dims[i + 1]);
-            let last = i + 1 == l;
-            let cs = Dropout::call_seed(self.seed.wrapping_add(100 + i as u64), epoch);
-            let p = self.p_drop;
-            let (plan, ctxs) = (self.plan, self.ctxs);
-            let h_ref = &h_locals;
-            let results: Vec<(DenseMatrix, DenseMatrix, Vec<bool>)> = par_map_chunks(k, |s| {
-                let shard = &plan.shards[s];
-                let input = if i == 0 { &ctxs[s].features } else { &h_ref[s] };
                 let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                spmm_into(&shard.op, input, &mut scratch);
-                let x_owned = scratch.gather_rows(&ctxs[s].owned_rows);
+                let x_owned = match op_boundary {
+                    Some(op_boundary) if i > 0 => {
+                        let mut x = x_ref[s].clone();
+                        spmm_into(&op_boundary[s], &h_ref[s], &mut scratch);
+                        for &r in shard.boundary_rows() {
+                            x.row_mut(r as usize).copy_from_slice(
+                                scratch.row(shard.owned_local[r as usize] as usize),
+                            );
+                        }
+                        x
+                    }
+                    _ => {
+                        let input = if i == 0 { &ctxs[s].features } else { &h_ref[s] };
+                        spmm_into(&shard.op, input, &mut scratch);
+                        scratch.gather_rows(&ctxs[s].owned_rows)
+                    }
+                };
                 let mut z = x_owned.matmul(w).expect("linear shapes");
                 for r in 0..z.rows() {
                     vecops::axpy(1.0, b.row(0), z.row_mut(r));
@@ -812,7 +740,11 @@ impl Runtime<'_> {
                 if self.poll_superstep() {
                     return (logits, x_caches, relu_masks);
                 }
-                h_locals = self.exchange(&zs, d_out);
+                if self.comm_state.is_some() {
+                    (h_locals, x_int) = self.exchange_compressed_fwd(i, &zs, d_out);
+                } else {
+                    h_locals = self.exchange(&zs, d_out);
+                }
             }
         }
         (logits, x_caches, relu_masks)
@@ -1005,28 +937,113 @@ impl Runtime<'_> {
     }
 }
 
+/// The sharded trainer's evolving state: the model, the runtime (whose
+/// compressed-regime comm state rides in each checkpoint as a sidecar)
+/// and the eval-pass traffic kept out of the training tallies.
+struct Sharded<'a> {
+    gcn: Gcn,
+    rt: Runtime<'a>,
+    eval_comm: Comm,
+    /// Epochs executed by *this* run (excluding resumed-past ones), so
+    /// per-epoch communication stats stay honest after a resume.
+    session_epochs: usize,
+}
+
+impl Checkpointed for Sharded<'_> {
+    fn ckpt_parts(&mut self) -> Option<(&mut dyn SlotParams, Option<&mut dyn CkptSidecar>)> {
+        let side = self.rt.comm_state.as_mut().map(|s| s as &mut dyn CkptSidecar);
+        Some((&mut self.gcn, side))
+    }
+}
+
+impl Sharded<'_> {
+    fn epoch(&mut self, ep: &mut Epoch<'_>) -> TrainResult<Option<f32>> {
+        let (gcn, rt) = (&mut self.gcn, &mut self.rt);
+        self.session_epochs += 1;
+        let call = ep.index as u64 + 1; // the reference model's dropout call number
+        let (loss, dl_owned, x_caches, relu_masks) = ep.phases.time(Phase::Forward, || {
+            let (logits, x_caches, relu_masks) = rt.forward_train(gcn, call);
+            if rt.faulted() {
+                return (0.0, Vec::new(), x_caches, relu_masks);
+            }
+            let (loss, dl) = rt.loss_and_grad(&logits);
+            (loss, dl, x_caches, relu_masks)
+        });
+        if let Some(e) = rt.fault_error() {
+            return Err(e);
+        }
+        ep.phases.time(Phase::Backward, || {
+            rt.backward(gcn, dl_owned, &x_caches, &relu_masks, call);
+        });
+        if let Some(e) = rt.fault_error() {
+            return Err(e);
+        }
+        let opt = &mut *ep.opt;
+        ep.phases.time(Phase::Step, || gcn.step(opt));
+        if let Some(st) = &rt.comm_state {
+            // Effective ratio of exact-equivalent ghost bytes to bytes
+            // moved (×1000); stale hits count as moved-for-free, so s > 1
+            // pushes the ratio beyond pure quantization.
+            let moved = rt.comm.halo_bytes.max(1);
+            COMPRESSION_RATIO.set((moved + st.bytes_saved).saturating_mul(1000) / moved);
+        }
+        Ok(Some(loss))
+    }
+
+    /// `(val, test)` accuracy from an exact sharded inference pass (test
+    /// is 0 unless `test`). The pass's halo traffic is reclassified as
+    /// eval traffic so per-epoch training volume stays a clean multiple
+    /// of the plan.
+    fn eval(&mut self, ds: &Dataset, test: bool) -> TrainResult<(f64, f64)> {
+        let rt = &mut self.rt;
+        let before = rt.comm;
+        rt.in_eval = true;
+        let logits = rt.inference_logits(&self.gcn);
+        rt.in_eval = false;
+        if let Some(e) = rt.fault_error() {
+            return Err(e);
+        }
+        self.eval_comm.halo_bytes += rt.comm.halo_bytes - before.halo_bytes;
+        self.eval_comm.halo_vectors += rt.comm.halo_vectors - before.halo_vectors;
+        rt.comm = before;
+        let val = rt.accuracy_of(&logits, |c| &c.val, ds.splits.val.len());
+        Ok((
+            val,
+            if test { rt.accuracy_of(&logits, |c| &c.test, ds.splits.test.len()) } else { 0.0 },
+        ))
+    }
+}
+
 /// Trains a full-batch GCN shard-parallel over `part`, bitwise
 /// reproducing [`crate::trainer::train_full_gcn`] (see the module docs
 /// for the contract). Returns the model, the usual report, and the
-/// measured communication profile.
+/// measured communication profile. A partition that does not cover the
+/// dataset, or names a part id ≥ `part.k`, is refused.
 pub fn train_sharded_gcn(
     ds: &Dataset,
     part: &Partition,
     cfg: &TrainConfig,
 ) -> TrainResult<(Gcn, TrainReport, ShardStats)> {
     let n = ds.num_nodes();
-    assert_eq!(part.parts.len(), n, "partition must cover the dataset");
-    ensure_classes(ds)?;
+    if part.parts.len() != n {
+        return Err(TrainError::InvalidInput(format!(
+            "partition covers {} nodes, the dataset has {n}",
+            part.parts.len()
+        )));
+    }
+    if let Some(&p) = part.parts.iter().find(|&&p| p as usize >= part.k) {
+        return Err(TrainError::InvalidInput(format!("part id {p} with k = {}", part.k)));
+    }
+    let mut driver = Driver::new(cfg, ds)?;
     let k = part.k;
-    let mut ledger = build_ledger(cfg);
     let t0 = Instant::now();
     let op = gcn_operator(&ds.graph);
     let op_bytes = op.nbytes();
-    ledger.try_alloc(op_bytes)?;
+    driver.ledger.try_alloc(op_bytes)?;
     let plan = ShardPlan::build(&op, part).expect("operator covered by partition");
-    ledger.try_alloc(plan.nbytes())?;
+    driver.ledger.try_alloc(plan.nbytes())?;
     drop(op);
-    ledger.free(op_bytes);
+    driver.ledger.free(op_bytes);
 
     // Owned-rank lookup for translating split membership.
     let mut rank_of = vec![0u32; n];
@@ -1061,17 +1078,11 @@ pub fn train_sharded_gcn(
             }
         }
     }
-    ledger.try_alloc(ctxs.iter().map(|c| c.features.nbytes()).sum())?;
+    driver.ledger.try_alloc(ctxs.iter().map(|c| c.features.nbytes()).sum())?;
     let precompute_secs = t0.elapsed().as_secs_f64();
 
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
-    let mut dims = vec![ds.feature_dim()];
-    dims.extend_from_slice(&cfg.hidden);
-    dims.push(ds.num_classes);
+    let gcn = new_gcn(ds, cfg);
+    let dims = layer_dims(ds, cfg);
     let l = dims.len() - 1;
     // Transient: two activations per layer per shard, the fixed-point
     // partials (k shard copies + 1 reduced), and the parameters
@@ -1083,7 +1094,7 @@ pub fn train_sharded_gcn(
         .sum();
     let fx_bytes: usize =
         (0..l).map(|i| (dims[i] * dims[i + 1] + dims[i + 1]) * 16).sum::<usize>() * (k + 1);
-    ledger.try_transient(acts + fx_bytes + gcn.step_bytes(0, ds.feature_dim()))?;
+    driver.ledger.try_transient(acts + fx_bytes + gcn.step_bytes(0, ds.feature_dim()))?;
     SKEW.record((plan.nnz_skew() * 1000.0) as u64);
 
     // Compressed-regime state: export lists, interior/boundary
@@ -1094,10 +1105,10 @@ pub fn train_sharded_gcn(
         .compressed()
         .map(|(mode, staleness)| CommState::build(&plan, &dims, mode, staleness));
     if let Some(st) = &comm_state {
-        ledger.try_alloc(st.nbytes(&plan, &dims))?;
+        driver.ledger.try_alloc(st.nbytes(&plan, &dims))?;
     }
 
-    let mut rt = Runtime {
+    let rt = Runtime {
         plan: &plan,
         ctxs: &ctxs,
         dims,
@@ -1113,119 +1124,25 @@ pub fn train_sharded_gcn(
         comm_state,
         in_eval: false,
     };
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut stopper = EarlyStopper::new(cfg.patience);
-    let mut phases = PhaseBreakdown::new();
-    let mut final_loss = 0f32;
-    let mut epochs_run = 0usize;
-    let trainer_name = format!("gcn-shard-k{k}");
-    let start_epoch = apply_resume(
-        cfg,
-        &trainer_name,
-        &mut opt,
-        &mut gcn,
-        rt.comm_state.as_mut().map(|s| s as &mut dyn CkptSidecar),
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
+    let mut st = Sharded { gcn, rt, eval_comm: Comm::default(), session_epochs: 0 };
+    let report = driver.run(
+        format!("gcn-shard-k{k}"),
+        precompute_secs,
+        &mut st,
+        |st, ep| st.epoch(ep),
+        |st, test| st.eval(ds, test),
     )?;
-    let mut eval_comm = Comm::default();
-    // Epochs executed by *this* run (excluding resumed-past ones), so
-    // per-epoch communication stats stay honest after a resume.
-    let mut session_epochs = 0usize;
-    let t1 = Instant::now();
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        session_epochs += 1;
-        let call = epoch as u64 + 1; // the reference model's dropout call number
-        let (loss, dl_owned, x_caches, relu_masks) = phases.time(Phase::Forward, || {
-            let (logits, x_caches, relu_masks) = if rt.comm_state.is_some() {
-                rt.forward_compressed(&gcn, call)
-            } else {
-                rt.forward_train(&gcn, call)
-            };
-            if rt.faulted() {
-                return (0.0, Vec::new(), x_caches, relu_masks);
-            }
-            let (loss, dl) = rt.loss_and_grad(&logits);
-            (loss, dl, x_caches, relu_masks)
-        });
-        if let Some(e) = rt.fault_error() {
-            return Err(e);
-        }
-        final_loss = loss;
-        phases.time(Phase::Backward, || {
-            rt.backward(&mut gcn, dl_owned, &x_caches, &relu_masks, call);
-        });
-        if let Some(e) = rt.fault_error() {
-            return Err(e);
-        }
-        phases.time(Phase::Step, || gcn.step(&mut opt));
-        let mut stop = false;
-        if cfg.patience.is_some() {
-            let before = rt.comm;
-            let val = phases.time(Phase::Eval, || {
-                rt.in_eval = true;
-                let logits = rt.inference_logits(&gcn);
-                rt.in_eval = false;
-                rt.accuracy_of(&logits, |c| &c.val, ds.splits.val.len())
-            });
-            if let Some(e) = rt.fault_error() {
-                return Err(e);
-            }
-            // Reclassify the eval pass's traffic so per-epoch training
-            // volume stays a clean multiple of the plan.
-            eval_comm.halo_bytes += rt.comm.halo_bytes - before.halo_bytes;
-            eval_comm.halo_vectors += rt.comm.halo_vectors - before.halo_vectors;
-            rt.comm = before;
-            stop = stopper.should_stop(val);
-        }
-        maybe_checkpoint(
-            cfg,
-            &trainer_name,
-            epoch + 1,
-            final_loss,
-            &stopper,
-            stop,
-            &opt,
-            &mut gcn,
-            rt.comm_state.as_ref().map(|s| s as &dyn CkptSidecar),
-        )?;
-        sgnn_obs::mark_epoch(epoch as u64);
-        if stop {
-            break;
-        }
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
+    let Sharded { gcn, rt, eval_comm, session_epochs } = st;
     let train_comm = rt.comm;
-    rt.in_eval = true;
-    let logits = rt.inference_logits(&gcn);
-    rt.in_eval = false;
-    if let Some(e) = rt.fault_error() {
-        return Err(e);
-    }
-    let val_acc = rt.accuracy_of(&logits, |c| &c.val, ds.splits.val.len());
-    let test_acc = rt.accuracy_of(&logits, |c| &c.test, ds.splits.test.len());
-    eval_comm.halo_bytes += rt.comm.halo_bytes - train_comm.halo_bytes;
-    eval_comm.halo_vectors += rt.comm.halo_vectors - train_comm.halo_vectors;
     let epochs_div = session_epochs.max(1) as u64;
     let (bytes_saved, stale_hits, overlap_ns) = rt
         .comm_state
         .as_ref()
         .map(|s| (s.bytes_saved, s.stale_hits, s.overlap_ns))
         .unwrap_or((0, 0, 0));
-    if rt.comm_state.is_some() {
-        // Effective ratio of exact-equivalent ghost bytes to bytes moved
-        // (×1000); stale hits count as moved-for-free, so s > 1 pushes
-        // the ratio beyond pure quantization.
-        let moved = train_comm.halo_bytes.max(1);
-        COMPRESSION_RATIO.set((moved + bytes_saved).saturating_mul(1000) / moved);
-    }
     let stats = ShardStats {
         k,
-        epochs: epochs_run,
+        epochs: report.epochs_run,
         halo_vectors_per_exchange: plan.halo_vectors(),
         exchanges_per_epoch: 2 * (l as u64 - 1),
         halo_bytes_per_epoch: train_comm.halo_bytes / epochs_div,
@@ -1238,18 +1155,6 @@ pub fn train_sharded_gcn(
         halo_bytes_saved_per_epoch: bytes_saved / epochs_div,
         stale_hits,
         overlap_ns,
-    };
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: format!("gcn-shard-k{k}"),
-        test_acc,
-        val_acc,
-        final_loss,
-        precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
     };
     Ok((gcn, report, stats))
 }

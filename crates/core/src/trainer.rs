@@ -9,20 +9,24 @@
 //! | [`train_saint`] | subgraph sampling | §3.3.2, GraphSAINT |
 //! | [`train_cluster_gcn`] | partition batches | §3.1.2, Cluster-GCN |
 //! | [`train_coarse`] | coarse-graph training | §3.3.4 |
+//!
+//! Each supplies only its set-up, per-epoch body and eval; the shared
+//! epoch loop, checkpoints and memory rules live in `crate::driver`.
 
-use crate::ckpt::{ckpt_path, save_epoch, try_restore, CkptSidecar, ResumeState, SlotParams};
+use crate::driver::{
+    chunked_accuracy, layer_dims, logits_accuracy, new_gcn, rows_of, split_scores, Driver,
+    TrainMask,
+};
 use crate::error::{TrainError, TrainResult};
-use crate::memory::{matrix_bytes, Ledger};
+use crate::memory::matrix_bytes;
 use crate::models::decoupled::{DecoupledModel, PrecomputeMethod};
-use crate::models::gcn::{gcn_operator, Gcn, GcnConfig};
+use crate::models::gcn::{gcn_operator, Gcn};
 use crate::models::sage::Sage;
 use crate::shard_comm::CommRegime;
 use sgnn_data::Dataset;
 use sgnn_fault::FaultPlan;
 use sgnn_graph::NodeId;
-use sgnn_linalg::DenseMatrix;
 use sgnn_nn::loss::{accuracy, softmax_cross_entropy};
-use sgnn_nn::optim::Adam;
 use sgnn_obs::{Phase, PhaseBreakdown};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -57,7 +61,8 @@ pub struct TrainConfig {
     pub prefetch: bool,
     /// Directory for rolling post-epoch checkpoints (one
     /// `<trainer>.ckpt` file per trainer, atomically replaced each
-    /// epoch). `None` disables checkpointing.
+    /// epoch). `None` disables checkpointing. Trainers with no
+    /// restorable state refuse it (and `resume_from`).
     pub ckpt_dir: Option<PathBuf>,
     /// Checkpoint file to restore before training. A missing file is a
     /// cold start (the killed-before-first-checkpoint case); a corrupt
@@ -100,118 +105,6 @@ impl Default for TrainConfig {
     }
 }
 
-/// Ledger with the effective budget: the tightest of the config budget,
-/// the fault plan's simulated budget, and `SGNN_MEM_BUDGET`.
-pub(crate) fn build_ledger(cfg: &TrainConfig) -> Ledger {
-    let plan_budget = cfg.fault_plan.as_ref().and_then(|p| p.budget()).map(|b| b as usize);
-    let explicit = match (cfg.mem_budget, plan_budget) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
-    Ledger::budgeted(explicit)
-}
-
-/// Guards the argmax paths: a dataset with zero classes would make every
-/// per-row argmax undefined. Checked once at trainer entry so the inner
-/// loops can assume `num_classes ≥ 1`.
-pub(crate) fn ensure_classes(ds: &Dataset) -> TrainResult<()> {
-    if ds.num_classes == 0 {
-        return Err(TrainError::EmptyLogits);
-    }
-    Ok(())
-}
-
-/// Polls the fault plan's epoch-kill site.
-pub(crate) fn poll_epoch_kill(cfg: &TrainConfig, epoch: usize) -> TrainResult<()> {
-    if let Some(plan) = &cfg.fault_plan {
-        if plan.poll_kill_epoch(epoch) {
-            return Err(TrainError::InjectedCrash { site: "epoch", at: epoch as u64 });
-        }
-    }
-    Ok(())
-}
-
-/// Loads `cfg.resume_from` (if set) into the optimizer/model and applies
-/// the recovered counters. Returns the epoch to resume at.
-pub(crate) fn apply_resume(
-    cfg: &TrainConfig,
-    trainer: &str,
-    opt: &mut Adam,
-    model: &mut dyn SlotParams,
-    sidecar: Option<&mut dyn CkptSidecar>,
-    stopper: &mut EarlyStopper,
-    epochs_run: &mut usize,
-    final_loss: &mut f32,
-) -> TrainResult<usize> {
-    let Some(path) = &cfg.resume_from else { return Ok(0) };
-    let Some(st) = try_restore(path, trainer, opt, model, sidecar)? else { return Ok(0) };
-    stopper.restore(st.stopper_best, st.stopper_bad);
-    *epochs_run = st.epoch_done;
-    *final_loss = st.final_loss;
-    // A run that already stopped early replays its break: no more epochs.
-    Ok(if st.stopped { usize::MAX } else { st.epoch_done })
-}
-
-/// Writes the rolling post-epoch checkpoint when `cfg.ckpt_dir` is set.
-pub(crate) fn maybe_checkpoint(
-    cfg: &TrainConfig,
-    trainer: &str,
-    epoch_done: usize,
-    final_loss: f32,
-    stopper: &EarlyStopper,
-    stopped: bool,
-    opt: &Adam,
-    model: &mut dyn SlotParams,
-    sidecar: Option<&dyn CkptSidecar>,
-) -> TrainResult<()> {
-    let Some(dir) = &cfg.ckpt_dir else { return Ok(()) };
-    let (best, bad) = stopper.state();
-    let state =
-        ResumeState { epoch_done, final_loss, stopper_best: best, stopper_bad: bad, stopped };
-    let bytes = save_epoch(&ckpt_path(dir, trainer), trainer, &state, opt, model, sidecar)?;
-    sgnn_fault::record_ckpt_bytes(bytes);
-    Ok(())
-}
-
-/// Validation-accuracy early stopper shared by the trainers.
-pub(crate) struct EarlyStopper {
-    patience: Option<usize>,
-    best: f64,
-    bad: usize,
-}
-
-impl EarlyStopper {
-    pub(crate) fn new(patience: Option<usize>) -> Self {
-        EarlyStopper { patience, best: f64::NEG_INFINITY, bad: 0 }
-    }
-
-    /// `(best, bad)` for checkpointing.
-    pub(crate) fn state(&self) -> (f64, usize) {
-        (self.best, self.bad)
-    }
-
-    /// Restores checkpointed `(best, bad)` — bit-exact, so a resumed run
-    /// makes the same stop decisions as the uninterrupted one.
-    pub(crate) fn restore(&mut self, best: f64, bad: usize) {
-        self.best = best;
-        self.bad = bad;
-    }
-
-    /// Records a validation score; returns `true` when training should
-    /// stop.
-    pub(crate) fn should_stop(&mut self, val: f64) -> bool {
-        let Some(p) = self.patience else { return false };
-        if val > self.best + 1e-9 {
-            self.best = val;
-            self.bad = 0;
-            false
-        } else {
-            self.bad += 1;
-            self.bad >= p
-        }
-    }
-}
-
 /// Outcome of one training run.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
@@ -247,170 +140,36 @@ serde::impl_serialize!(TrainReport {
     phases
 });
 
-fn rows_of(nodes: &[NodeId]) -> Vec<usize> {
-    nodes.iter().map(|&u| u as usize).collect()
-}
-
 /// Trains a full-batch GCN (experiment baseline).
 pub fn train_full_gcn(ds: &Dataset, cfg: &TrainConfig) -> TrainResult<(Gcn, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
+    let mut driver = Driver::new(cfg, ds)?;
     let t0 = Instant::now();
     let op = gcn_operator(&ds.graph);
     let precompute_secs = t0.elapsed().as_secs_f64();
-    ledger.try_alloc(op.nbytes())?;
-    ledger.try_alloc(ds.features.nbytes())?;
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
+    driver.ledger.try_alloc(op.nbytes())?;
+    driver.ledger.try_alloc(ds.features.nbytes())?;
+    let mut gcn = new_gcn(ds, cfg);
     // Full-batch training keeps every layer activation resident.
-    ledger.try_transient(gcn.step_bytes(ds.num_nodes(), ds.feature_dim()))?;
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+    driver.ledger.try_transient(gcn.step_bytes(ds.num_nodes(), ds.feature_dim()))?;
     let train_rows = rows_of(&ds.splits.train);
     let train_labels = ds.labels_of(&ds.splits.train);
-    let n = ds.num_nodes();
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut stopper = EarlyStopper::new(cfg.patience);
-    let mut epochs_run = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    let start_epoch = apply_resume(
-        cfg,
-        "gcn-full",
-        &mut opt,
-        &mut gcn,
-        None,
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
-    )?;
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        let (loss, dl_batch) = phases.time(Phase::Forward, || {
-            let logits = gcn.forward(&op, &ds.features);
-            let batch = logits.gather_rows(&train_rows);
-            softmax_cross_entropy(&batch, &train_labels, None)
-        });
-        final_loss = loss;
-        phases.time(Phase::Backward, || {
-            let mut dl = DenseMatrix::zeros(n, ds.num_classes);
-            dl.scatter_rows(&train_rows, &dl_batch);
-            gcn.zero_grad();
-            gcn.backward(&op, &dl);
-        });
-        phases.time(Phase::Step, || gcn.step(&mut opt));
-        let mut stop = false;
-        if cfg.patience.is_some() {
-            let val = phases.time(Phase::Eval, || {
-                let logits = gcn.forward_inference(&op, &ds.features);
-                accuracy(
-                    &logits.gather_rows(&rows_of(&ds.splits.val)),
-                    &ds.labels_of(&ds.splits.val),
-                )
-            });
-            stop = stopper.should_stop(val);
-        }
-        maybe_checkpoint(
-            cfg,
-            "gcn-full",
-            epoch + 1,
-            final_loss,
-            &stopper,
-            stop,
-            &opt,
-            &mut gcn,
-            None,
-        )?;
-        sgnn_obs::mark_epoch(epoch as u64);
-        if stop {
-            break;
-        }
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
-    let logits = gcn.forward_inference(&op, &ds.features);
-    let val_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.test)), &ds.labels_of(&ds.splits.test));
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: "gcn-full".into(),
-        test_acc,
-        val_acc,
-        final_loss,
+    let report = driver.run(
+        "gcn-full".into(),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
+        &mut gcn,
+        |gcn, ep| Ok(Some(ep.gcn_step(gcn, &op, &ds.features, &train_rows, &train_labels, None))),
+        |gcn, test| Ok(logits_accuracy(ds, &gcn.forward_inference(&op, &ds.features), test)),
+    )?;
     Ok((gcn, report))
 }
 
-/// Trains a decoupled model (precompute + mini-batch MLP).
+/// Trains a decoupled model (precompute + mini-batch MLP). The MLP has no
+/// checkpointable state, so a set `ckpt_dir` or `resume_from` is refused.
 pub fn train_decoupled(
     ds: &Dataset,
     method: &PrecomputeMethod,
     cfg: &TrainConfig,
 ) -> TrainResult<(DecoupledModel, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
-    let t0 = Instant::now();
-    let mut model = DecoupledModel::new(ds, method, &cfg.hidden, cfg.dropout, cfg.seed);
-    let precompute_secs = t0.elapsed().as_secs_f64();
-    // The embedding is the only graph-scale resident object; training
-    // touches batch-sized slices.
-    ledger.try_alloc(model.embedding.nbytes())?;
-    ledger.try_transient(
-        matrix_bytes(cfg.batch_size, model.embedding.cols())
-            + matrix_bytes(cfg.batch_size, ds.num_classes)
-            + model.mlp.nbytes(),
-    )?;
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut stopper = EarlyStopper::new(cfg.patience);
-    let mut epochs_run = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    for epoch in 0..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        for chunk in ds.splits.train.chunks(cfg.batch_size) {
-            let x = phases.time(Phase::Sample, || {
-                let rows = rows_of(chunk);
-                model.embedding.gather_rows(&rows)
-            });
-            let (loss, dl) = phases.time(Phase::Forward, || {
-                let logits = model.mlp.forward(&x);
-                softmax_cross_entropy(&logits, &ds.labels_of(chunk), None)
-            });
-            final_loss = loss;
-            phases.time(Phase::Backward, || {
-                model.mlp.zero_grad();
-                model.mlp.backward(&dl);
-            });
-            phases.time(Phase::Step, || model.mlp.step(&mut opt));
-        }
-        let mut stop = false;
-        if cfg.patience.is_some() {
-            let val = phases.time(Phase::Eval, || {
-                accuracy(&model.logits_for(&ds.splits.val), &ds.labels_of(&ds.splits.val))
-            });
-            stop = stopper.should_stop(val);
-        }
-        sgnn_obs::mark_epoch(epoch as u64);
-        if stop {
-            break;
-        }
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
-    let val_acc = accuracy(&model.logits_for(&ds.splits.val), &ds.labels_of(&ds.splits.val));
-    let test_acc = accuracy(&model.logits_for(&ds.splits.test), &ds.labels_of(&ds.splits.test));
     let name = match method {
         PrecomputeMethod::None => "mlp-raw".to_string(),
         PrecomputeMethod::Sgc { k } => format!("sgc-k{k}"),
@@ -419,18 +178,47 @@ pub fn train_decoupled(
         PrecomputeMethod::Heat { .. } => "heat".to_string(),
         PrecomputeMethod::Ld2(_) => "ld2".to_string(),
     };
-    sgnn_obs::export_now();
-    let report = TrainReport {
+    let mut driver = Driver::without_checkpoints(cfg, ds, &name)?;
+    let t0 = Instant::now();
+    let mut model = DecoupledModel::new(ds, method, &cfg.hidden, cfg.dropout, cfg.seed);
+    let precompute_secs = t0.elapsed().as_secs_f64();
+    // The embedding is the only graph-scale resident object; training
+    // touches batch-sized slices.
+    driver.ledger.try_alloc(model.embedding.nbytes())?;
+    driver.ledger.try_transient(
+        matrix_bytes(cfg.batch_size, model.embedding.cols())
+            + matrix_bytes(cfg.batch_size, ds.num_classes)
+            + model.mlp.nbytes(),
+    )?;
+    let report = driver.run(
         name,
-        test_acc,
-        val_acc,
-        final_loss,
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
+        &mut model,
+        |model, ep| {
+            let mut loss = None;
+            for chunk in ds.splits.train.chunks(cfg.batch_size) {
+                let x =
+                    ep.phases.time(Phase::Sample, || model.embedding.gather_rows(&rows_of(chunk)));
+                let (l, dl) = ep.phases.time(Phase::Forward, || {
+                    let logits = model.mlp.forward(&x);
+                    softmax_cross_entropy(&logits, &ds.labels_of(chunk), None)
+                });
+                loss = Some(l);
+                ep.phases.time(Phase::Backward, || {
+                    model.mlp.zero_grad();
+                    model.mlp.backward(&dl);
+                });
+                let opt = &mut *ep.opt;
+                ep.phases.time(Phase::Step, || model.mlp.step(opt));
+            }
+            Ok(loss)
+        },
+        |model, test| {
+            Ok(split_scores(ds, test, |nodes| {
+                accuracy(&model.logits_for(nodes), &ds.labels_of(nodes))
+            }))
+        },
+    )?;
     Ok((model, report))
 }
 
@@ -468,125 +256,83 @@ impl SamplerKind {
     }
 }
 
-/// Trains a sampled GraphSAGE model with the given sampler.
+/// Trains a sampled GraphSAGE model with the given sampler. The sampler
+/// needs one fanout (or layer size) per layer, `hidden.len() + 1`.
 pub fn train_sampled(
     ds: &Dataset,
     sampler: &SamplerKind,
     cfg: &TrainConfig,
 ) -> TrainResult<(Sage, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
-    ledger.try_alloc(ds.features.nbytes())?; // feature store stays host-side resident
-    let mut dims = vec![ds.feature_dim()];
-    dims.extend_from_slice(&cfg.hidden);
-    dims.push(ds.num_classes);
-    assert_eq!(dims.len() - 1, sampler.layers(), "one fanout per layer");
+    if sampler.layers() != cfg.hidden.len() + 1 {
+        return Err(TrainError::InvalidInput(format!(
+            "{} fanouts for {} layers",
+            sampler.layers(),
+            cfg.hidden.len() + 1
+        )));
+    }
+    let mut driver = Driver::new(cfg, ds)?;
+    driver.ledger.try_alloc(ds.features.nbytes())?; // feature store stays host-side resident
     let name = match sampler {
         SamplerKind::NodeWise(_) => "sage-nodewise",
         SamplerKind::LayerWise(_) => "sage-ladies",
         SamplerKind::Labor(_) => "sage-labor",
     };
-    let mut sage = Sage::new(&dims, cfg.seed);
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut max_batch_bytes = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    let pipe = crate::pipeline::BatchPipeline::with_restarts(
-        cfg.prefetch,
-        if cfg.fault_plan.is_some() { 1 } else { 0 },
-    );
+    let mut sage = Sage::new(&layer_dims(ds, cfg), cfg.seed);
     let chunks: Vec<&[NodeId]> = ds.splits.train.chunks(cfg.batch_size).collect();
-    let mut stopper = EarlyStopper::new(None);
-    let mut epochs_run = 0usize;
-    let start_epoch = apply_resume(
-        cfg,
-        name,
-        &mut opt,
+    let report = driver.run(
+        name.into(),
+        0.0,
         &mut sage,
-        None,
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
+        |sage, ep| {
+            // The double buffer keeps at most one prefetched batch alive
+            // next to the one being computed.
+            let copies = if ep.pipeline().is_pipelined() { 2 } else { 1 };
+            let epoch = ep.index;
+            ep.batches(
+                chunks.len(),
+                |bi| {
+                    let seed = cfg
+                        .seed
+                        .wrapping_add((epoch * 10_000 + bi) as u64)
+                        .wrapping_mul(0x9E37_79B9);
+                    let blocks = sampler.sample(&ds.graph, chunks[bi], seed);
+                    let x_in = ds.features.gather_rows(&rows_of(&blocks[0].src));
+                    (blocks, x_in)
+                },
+                |ep, bi, (blocks, x_in)| {
+                    // Batch-resident: input features + per-layer activations
+                    // (≈2× input) + block structure.
+                    let blocks_bytes = blocks.iter().map(|b| b.nbytes()).sum::<usize>();
+                    ep.ledger.try_transient(copies * (3 * x_in.nbytes() + blocks_bytes))?;
+                    let (loss, dl) = ep.phases.time(Phase::Forward, || {
+                        let logits = sage.forward(&blocks, &x_in);
+                        softmax_cross_entropy(&logits, &ds.labels_of(chunks[bi]), None)
+                    });
+                    ep.phases.time(Phase::Backward, || {
+                        sage.zero_grad();
+                        sage.backward(&blocks, &dl);
+                    });
+                    let opt = &mut *ep.opt;
+                    ep.phases.time(Phase::Step, || sage.step(opt));
+                    Ok(Some(loss))
+                },
+            )
+        },
+        |sage, test| {
+            // Evaluate with wide fanouts for near-exact aggregation.
+            let wide = vec![25usize; sampler.layers()];
+            Ok(split_scores(ds, test, |nodes| {
+                chunked_accuracy(ds, nodes, |chunk| {
+                    let blocks =
+                        sgnn_sample::node_wise::sample_blocks(&ds.graph, chunk, &wide, 123_456);
+                    sage.forward_inference(
+                        &blocks,
+                        &ds.features.gather_rows(&rows_of(&blocks[0].src)),
+                    )
+                })
+            }))
+        },
     )?;
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        let sample_secs = pipe.run(
-            chunks.len(),
-            |bi| {
-                if let Some(plan) = &cfg.fault_plan {
-                    if plan.poll_producer_panic(epoch * chunks.len() + bi) {
-                        panic!("injected: pipeline producer fault at batch {bi}");
-                    }
-                }
-                let seed =
-                    cfg.seed.wrapping_add((epoch * 10_000 + bi) as u64).wrapping_mul(0x9E37_79B9);
-                let blocks = sampler.sample(&ds.graph, chunks[bi], seed);
-                let src_rows = rows_of(&blocks[0].src);
-                let x_in = ds.features.gather_rows(&src_rows);
-                (blocks, x_in)
-            },
-            |bi, (blocks, x_in)| {
-                // Batch-resident: input features + per-layer activations
-                // (≈2× input) + block structure.
-                let batch_bytes =
-                    3 * x_in.nbytes() + blocks.iter().map(|b| b.nbytes()).sum::<usize>();
-                max_batch_bytes = max_batch_bytes.max(batch_bytes);
-                let (loss, dl) = phases.time(Phase::Forward, || {
-                    let logits = sage.forward(&blocks, &x_in);
-                    softmax_cross_entropy(&logits, &ds.labels_of(chunks[bi]), None)
-                });
-                final_loss = loss;
-                phases.time(Phase::Backward, || {
-                    sage.zero_grad();
-                    sage.backward(&blocks, &dl);
-                });
-                phases.time(Phase::Step, || sage.step(&mut opt));
-            },
-        );
-        phases.add(Phase::Sample, sample_secs);
-        maybe_checkpoint(cfg, name, epoch + 1, final_loss, &stopper, false, &opt, &mut sage, None)?;
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    // The double buffer keeps at most one prefetched batch alive next to
-    // the one being computed.
-    ledger.try_transient(if pipe.is_pipelined() {
-        2 * max_batch_bytes
-    } else {
-        max_batch_bytes
-    })?;
-    let train_secs = t1.elapsed().as_secs_f64();
-    // Evaluate with wide fanouts for near-exact aggregation.
-    let eval = |nodes: &[NodeId]| -> f64 {
-        let wide = vec![25usize; sampler.layers()];
-        let mut correct = 0usize;
-        for chunk in nodes.chunks(1024) {
-            let blocks = sgnn_sample::node_wise::sample_blocks(&ds.graph, chunk, &wide, 123_456);
-            let src_rows = rows_of(&blocks[0].src);
-            let x_in = ds.features.gather_rows(&src_rows);
-            let logits = sage.forward_inference(&blocks, &x_in);
-            let labels = ds.labels_of(chunk);
-            correct +=
-                logits.argmax_rows().iter().zip(labels.iter()).filter(|&(p, t)| p == t).count();
-        }
-        correct as f64 / nodes.len().max(1) as f64
-    };
-    let val_acc = eval(&ds.splits.val);
-    let test_acc = eval(&ds.splits.test);
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: name.into(),
-        test_acc,
-        val_acc,
-        final_loss,
-        precompute_secs: 0.0,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
     Ok((sage, report))
 }
 
@@ -597,9 +343,8 @@ pub fn train_saint(
     batches_per_epoch: usize,
     cfg: &TrainConfig,
 ) -> TrainResult<(Gcn, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
-    ledger.try_alloc(ds.features.nbytes())?;
+    let mut driver = Driver::new(cfg, ds)?;
+    driver.ledger.try_alloc(ds.features.nbytes())?;
     let t0 = Instant::now();
     let norms = sgnn_sample::saint::estimate_norms(&ds.graph, sampler, 20, cfg.seed);
     let precompute_secs = t0.elapsed().as_secs_f64();
@@ -608,117 +353,37 @@ pub fn train_saint(
         sgnn_sample::SaintSampler::Edge { .. } => "edge",
         sgnn_sample::SaintSampler::RandomWalk { .. } => "rw",
     };
-    let name = format!("saint-{sampler_name}");
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut in_train = vec![false; ds.num_nodes()];
-    for &u in &ds.splits.train {
-        in_train[u as usize] = true;
-    }
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut max_batch = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    let pipe = crate::pipeline::BatchPipeline::with_restarts(
-        cfg.prefetch,
-        if cfg.fault_plan.is_some() { 1 } else { 0 },
-    );
-    let mut stopper = EarlyStopper::new(None);
-    let mut epochs_run = 0usize;
-    let start_epoch = apply_resume(
-        cfg,
-        &name,
-        &mut opt,
-        &mut gcn,
-        None,
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
-    )?;
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        let sample_secs = pipe.run(
-            batches_per_epoch,
-            |b| {
-                if let Some(plan) = &cfg.fault_plan {
-                    if plan.poll_producer_panic(epoch * batches_per_epoch + b) {
-                        panic!("injected: pipeline producer fault at batch {b}");
-                    }
-                }
-                let seed = cfg.seed.wrapping_add((epoch * 1_000 + b) as u64 + 17);
-                let mut sub = sgnn_sample::saint::sample_subgraph(&ds.graph, sampler, seed);
-                sgnn_sample::saint::apply_norms(&mut sub, &norms);
-                let op = gcn_operator(&sub.graph);
-                let rows = rows_of(&sub.nodes);
-                let x = ds.features.gather_rows(&rows);
-                // Only training nodes in the subgraph contribute to the loss.
-                let mut idx = Vec::new();
-                let mut labels = Vec::new();
-                let mut weights = Vec::new();
-                for (local, &g) in sub.nodes.iter().enumerate() {
-                    if in_train[g as usize] {
-                        idx.push(local);
-                        labels.push(ds.labels[g as usize]);
-                        weights.push(sub.loss_weights[local]);
-                    }
-                }
-                (op, x, idx, labels, weights)
-            },
-            |_, (op, x, idx, labels, weights)| {
-                // Batch residency: the subgraph operator and gathered
-                // features are live alongside the layer activations.
-                max_batch = max_batch
-                    .max(op.nbytes() + x.nbytes() + gcn.step_bytes(x.rows(), ds.feature_dim()));
-                if idx.is_empty() {
-                    return;
-                }
-                let n_sub = x.rows();
-                let (loss, dl_batch) = phases.time(Phase::Forward, || {
-                    let logits = gcn.forward(&op, &x);
-                    let batch_logits = logits.gather_rows(&idx);
-                    softmax_cross_entropy(&batch_logits, &labels, Some(&weights))
-                });
-                final_loss = loss;
-                phases.time(Phase::Backward, || {
-                    let mut dl = DenseMatrix::zeros(n_sub, ds.num_classes);
-                    dl.scatter_rows(&idx, &dl_batch);
-                    gcn.zero_grad();
-                    gcn.backward(&op, &dl);
-                });
-                phases.time(Phase::Step, || gcn.step(&mut opt));
-            },
-        );
-        phases.add(Phase::Sample, sample_secs);
-        maybe_checkpoint(cfg, &name, epoch + 1, final_loss, &stopper, false, &opt, &mut gcn, None)?;
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    ledger.try_transient(max_batch)?;
-    let train_secs = t1.elapsed().as_secs_f64();
-    // Full-graph inference for evaluation.
-    let op = gcn_operator(&ds.graph);
-    let logits = gcn.forward_inference(&op, &ds.features);
-    let val_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.test)), &ds.labels_of(&ds.splits.test));
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name,
-        test_acc,
-        val_acc,
-        final_loss,
+    let mut gcn = new_gcn(ds, cfg);
+    let mask = TrainMask::new(ds);
+    let report = driver.run(
+        format!("saint-{sampler_name}"),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
+        &mut gcn,
+        |gcn, ep| {
+            let epoch = ep.index;
+            ep.batches(
+                batches_per_epoch,
+                |b| {
+                    let seed = cfg.seed.wrapping_add((epoch * 1_000 + b) as u64 + 17);
+                    let mut sub = sgnn_sample::saint::sample_subgraph(&ds.graph, sampler, seed);
+                    sgnn_sample::saint::apply_norms(&mut sub, &norms);
+                    let x = ds.features.gather_rows(&rows_of(&sub.nodes));
+                    // Only training nodes in the subgraph contribute to the loss.
+                    let (idx, labels) = mask.loss_rows(ds, &sub.nodes);
+                    let weights: Vec<f32> = idx.iter().map(|&l| sub.loss_weights[l]).collect();
+                    (gcn_operator(&sub.graph), x, idx, labels, weights)
+                },
+                |ep, _, (op, x, idx, labels, weights)| {
+                    ep.gcn_batch(gcn, &op, &x, &idx, &labels, Some(&weights))
+                },
+            )
+        },
+        |gcn, test| {
+            // Full-graph inference for evaluation.
+            let op = gcn_operator(&ds.graph);
+            Ok(logits_accuracy(ds, &gcn.forward_inference(&op, &ds.features), test))
+        },
+    )?;
     Ok((gcn, report))
 }
 
@@ -729,132 +394,41 @@ pub fn train_cluster_gcn(
     clusters_per_batch: usize,
     cfg: &TrainConfig,
 ) -> TrainResult<(Gcn, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
-    ledger.try_alloc(ds.features.nbytes())?;
+    let mut driver = Driver::new(cfg, ds)?;
+    driver.ledger.try_alloc(ds.features.nbytes())?;
     let t0 = Instant::now();
     let batcher = sgnn_partition::cluster::ClusterBatcher::new(&ds.graph, num_clusters, cfg.seed);
     let precompute_secs = t0.elapsed().as_secs_f64();
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut in_train = vec![false; ds.num_nodes()];
-    for &u in &ds.splits.train {
-        in_train[u as usize] = true;
-    }
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut max_batch = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    let pipe = crate::pipeline::BatchPipeline::with_restarts(
-        cfg.prefetch,
-        if cfg.fault_plan.is_some() { 1 } else { 0 },
-    );
-    let mut stopper = EarlyStopper::new(None);
-    let mut epochs_run = 0usize;
-    let start_epoch = apply_resume(
-        cfg,
-        "cluster-gcn",
-        &mut opt,
-        &mut gcn,
-        None,
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
-    )?;
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        // Partition assignment is one epoch-level shuffle, not per-batch
-        // work — it stays inline; only per-batch operator/feature
-        // construction rides the prefetch pipeline.
-        let batches = phases.time(Phase::Sample, || {
-            batcher.epoch_batches(&ds.graph, clusters_per_batch, cfg.seed + epoch as u64)
-        });
-        let sample_secs = pipe.run(
-            batches.len(),
-            |b| {
-                if let Some(plan) = &cfg.fault_plan {
-                    if plan.poll_producer_panic(epoch * batches.len() + b) {
-                        panic!("injected: pipeline producer fault at batch {b}");
-                    }
-                }
-                let batch = &batches[b];
-                let op = gcn_operator(&batch.graph);
-                let rows = rows_of(&batch.nodes);
-                let x = ds.features.gather_rows(&rows);
-                let mut idx = Vec::new();
-                let mut labels = Vec::new();
-                for (local, &g) in batch.nodes.iter().enumerate() {
-                    if in_train[g as usize] {
-                        idx.push(local);
-                        labels.push(ds.labels[g as usize]);
-                    }
-                }
-                (op, x, idx, labels)
-            },
-            |_, (op, x, idx, labels)| {
-                // Batch residency: the partition's operator and gathered
-                // features are live alongside the layer activations.
-                let n_sub = x.rows();
-                max_batch = max_batch
-                    .max(op.nbytes() + x.nbytes() + gcn.step_bytes(n_sub, ds.feature_dim()));
-                if idx.is_empty() {
-                    return;
-                }
-                let (loss, dl_batch) = phases.time(Phase::Forward, || {
-                    let logits = gcn.forward(&op, &x);
-                    let batch_logits = logits.gather_rows(&idx);
-                    softmax_cross_entropy(&batch_logits, &labels, None)
-                });
-                final_loss = loss;
-                phases.time(Phase::Backward, || {
-                    let mut dl = DenseMatrix::zeros(n_sub, ds.num_classes);
-                    dl.scatter_rows(&idx, &dl_batch);
-                    gcn.zero_grad();
-                    gcn.backward(&op, &dl);
-                });
-                phases.time(Phase::Step, || gcn.step(&mut opt));
-            },
-        );
-        phases.add(Phase::Sample, sample_secs);
-        maybe_checkpoint(
-            cfg,
-            "cluster-gcn",
-            epoch + 1,
-            final_loss,
-            &stopper,
-            false,
-            &opt,
-            &mut gcn,
-            None,
-        )?;
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    ledger.try_transient(max_batch)?;
-    let train_secs = t1.elapsed().as_secs_f64();
-    let op = gcn_operator(&ds.graph);
-    let logits = gcn.forward_inference(&op, &ds.features);
-    let val_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.test)), &ds.labels_of(&ds.splits.test));
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: "cluster-gcn".into(),
-        test_acc,
-        val_acc,
-        final_loss,
+    let mut gcn = new_gcn(ds, cfg);
+    let mask = TrainMask::new(ds);
+    let report = driver.run(
+        "cluster-gcn".into(),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
+        &mut gcn,
+        |gcn, ep| {
+            // Partition assignment is one epoch-level shuffle, not per-batch
+            // work — it stays inline; only per-batch operator/feature
+            // construction rides the prefetch pipeline.
+            let seed = cfg.seed + ep.index as u64;
+            let batches = ep
+                .phases
+                .time(Phase::Sample, || batcher.epoch_batches(&ds.graph, clusters_per_batch, seed));
+            ep.batches(
+                batches.len(),
+                |b| {
+                    let batch = &batches[b];
+                    let x = ds.features.gather_rows(&rows_of(&batch.nodes));
+                    let (idx, labels) = mask.loss_rows(ds, &batch.nodes);
+                    (gcn_operator(&batch.graph), x, idx, labels)
+                },
+                |ep, _, (op, x, idx, labels)| ep.gcn_batch(gcn, &op, &x, &idx, &labels, None),
+            )
+        },
+        |gcn, test| {
+            let op = gcn_operator(&ds.graph);
+            Ok(logits_accuracy(ds, &gcn.forward_inference(&op, &ds.features), test))
+        },
+    )?;
     Ok((gcn, report))
 }
 
@@ -876,17 +450,16 @@ pub fn train_coarse_with(
     cfg: &TrainConfig,
     name: &str,
 ) -> TrainResult<TrainReport> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
+    let mut driver = Driver::new(cfg, ds)?;
     let t0 = Instant::now();
     // Projection reads the fine feature matrix while the coarse one is
     // being built, so both are briefly resident together.
-    ledger.try_alloc(ds.features.nbytes())?;
+    driver.ledger.try_alloc(ds.features.nbytes())?;
     let cx = coarse.project_features(&ds.features);
     let precompute_secs = t0.elapsed().as_secs_f64();
-    ledger.try_alloc(cx.nbytes())?;
-    ledger.free(ds.features.nbytes());
-    ledger.try_alloc(coarse.graph.nbytes())?;
+    driver.ledger.try_alloc(cx.nbytes())?;
+    driver.ledger.free(ds.features.nbytes());
+    driver.ledger.try_alloc(coarse.graph.nbytes())?;
     // Coarse training labels: majority vote over *train-split members*
     // only, so test labels never leak into training.
     let cn = coarse.num_coarse();
@@ -895,75 +468,29 @@ pub fn train_coarse_with(
         let c = coarse.map[u as usize] as usize;
         votes[c * ds.num_classes + ds.labels[u as usize]] += 1;
     }
-    let mut train_coarse_nodes = Vec::new();
-    let mut coarse_labels = vec![0usize; cn];
-    for c in 0..cn {
-        let row = &votes[c * ds.num_classes..(c + 1) * ds.num_classes];
-        let total: u32 = row.iter().sum();
-        if total > 0 {
+    let (mut train_coarse_nodes, mut train_labels) = (Vec::new(), Vec::new());
+    for (c, row) in votes.chunks(ds.num_classes).enumerate() {
+        if row.iter().any(|&v| v > 0) {
             train_coarse_nodes.push(c);
-            // Non-empty by the `ensure_classes` entry guard: `row` has
-            // `num_classes ≥ 1` elements.
-            coarse_labels[c] = row
-                .iter()
-                .enumerate()
-                .max_by_key(|&(i, &v)| (v, std::cmp::Reverse(i)))
-                .expect("num_classes >= 1 checked at trainer entry")
-                .0;
+            // `row` is non-empty: the driver refuses zero-class datasets.
+            let majority = row.iter().enumerate().max_by_key(|&(i, &v)| (v, std::cmp::Reverse(i)));
+            train_labels.push(majority.expect("num_classes >= 1").0);
         }
     }
     let op = gcn_operator(&coarse.graph);
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
-    ledger.try_transient(gcn.step_bytes(cn, ds.feature_dim()))?;
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let train_labels: Vec<usize> = train_coarse_nodes.iter().map(|&c| coarse_labels[c]).collect();
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut phases = PhaseBreakdown::new();
-    for epoch in 0..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        let (loss, dl_batch) = phases.time(Phase::Forward, || {
-            let logits = gcn.forward(&op, &cx);
-            let batch = logits.gather_rows(&train_coarse_nodes);
-            softmax_cross_entropy(&batch, &train_labels, None)
-        });
-        final_loss = loss;
-        phases.time(Phase::Backward, || {
-            let mut dl = DenseMatrix::zeros(cn, ds.num_classes);
-            dl.scatter_rows(&train_coarse_nodes, &dl_batch);
-            gcn.zero_grad();
-            gcn.backward(&op, &dl);
-        });
-        phases.time(Phase::Step, || gcn.step(&mut opt));
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
-    // Lift coarse logits to fine nodes and evaluate on the real test set.
-    let coarse_logits = gcn.forward_inference(&op, &cx);
-    let fine_logits = coarse.lift_rows(&coarse_logits);
-    let val_acc =
-        accuracy(&fine_logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc = accuracy(
-        &fine_logits.gather_rows(&rows_of(&ds.splits.test)),
-        &ds.labels_of(&ds.splits.test),
-    );
-    sgnn_obs::export_now();
-    Ok(TrainReport {
-        name: name.to_string(),
-        test_acc,
-        val_acc,
-        final_loss,
+    let mut gcn = new_gcn(ds, cfg);
+    driver.ledger.try_transient(gcn.step_bytes(cn, ds.feature_dim()))?;
+    driver.run(
+        name.to_string(),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run: cfg.epochs,
-        phases,
-    })
+        &mut gcn,
+        |gcn, ep| Ok(Some(ep.gcn_step(gcn, &op, &cx, &train_coarse_nodes, &train_labels, None))),
+        |gcn, test| {
+            // Lift coarse logits to fine nodes and evaluate on the real test set.
+            let fine_logits = coarse.lift_rows(&gcn.forward_inference(&op, &cx));
+            Ok(logits_accuracy(ds, &fine_logits, test))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1048,6 +575,12 @@ mod tests {
         let (_, rd) = train_decoupled(&ds, &PrecomputeMethod::Sgc { k: 2 }, &cfg).unwrap();
         assert!(rd.epochs_run < 500);
         assert!(rd.test_acc > 0.8);
+        let (_, rs) = train_sampled(&ds, &SamplerKind::NodeWise(vec![5, 5]), &cfg).unwrap();
+        assert!(rs.epochs_run < 500, "sampled ran all {} epochs", rs.epochs_run);
+        assert!(rs.test_acc > 0.7, "sampled acc {}", rs.test_acc);
+        let re = crate::trainer_ext::train_seignn(&ds, 6, &cfg).unwrap();
+        assert!(re.epochs_run < 500, "seignn ran all {} epochs", re.epochs_run);
+        assert!(re.test_acc > 0.8, "seignn acc {}", re.test_acc);
     }
 
     #[test]

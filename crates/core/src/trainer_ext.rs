@@ -7,23 +7,24 @@
 //! two surveyed mechanisms: cached (stale) out-of-batch embeddings, and a
 //! coarse summary layer every batch can reach.
 
+use crate::driver::{
+    chunked_accuracy, logits_accuracy, new_gcn, rows_of, split_scores, Checkpointed, Driver,
+    TrainMask,
+};
 use crate::error::TrainResult;
-use crate::models::gcn::{gcn_operator, Gcn, GcnConfig};
-use crate::trainer::{build_ledger, ensure_classes, poll_epoch_kill, TrainConfig, TrainReport};
+use crate::memory::matrix_bytes;
+use crate::models::gcn::gcn_operator;
+use crate::trainer::{TrainConfig, TrainReport};
 use sgnn_data::Dataset;
 use sgnn_graph::NodeId;
 use sgnn_linalg::DenseMatrix;
 use sgnn_nn::layers::{Linear, ReLU};
-use sgnn_nn::loss::{accuracy, softmax_cross_entropy};
-use sgnn_nn::optim::{Adam, Optimizer};
-use sgnn_obs::{Phase, PhaseBreakdown};
+use sgnn_nn::loss::softmax_cross_entropy;
+use sgnn_nn::optim::Optimizer;
+use sgnn_obs::Phase;
 use sgnn_sample::node_wise::sample_blocks;
 use sgnn_sample::HistoryCache;
 use std::time::Instant;
-
-fn rows_of(nodes: &[NodeId]) -> Vec<usize> {
-    nodes.iter().map(|&u| u as usize).collect()
-}
 
 /// Statistics specific to the history trainer.
 #[derive(Debug, Clone, Default)]
@@ -34,184 +35,188 @@ pub struct HistoryStats {
     pub mean_age: f64,
 }
 
+/// The history trainer's two SAGE-style layers (`self` and `neigh`
+/// halves). Its cache and shuffle order are not checkpointed, so it has no
+/// restorable state.
+struct HistoryNet {
+    self1: Linear,
+    neigh1: Linear,
+    relu1: ReLU,
+    self2: Linear,
+    neigh2: Linear,
+}
+
+impl Checkpointed for HistoryNet {}
+
 /// Trains a 2-layer GNN where the second layer's out-of-batch inputs come
 /// from a historical-embedding cache instead of recursive sampling.
 ///
 /// The computation graph per batch is **one** sampled hop regardless of
 /// depth; the price is staleness, which the returned [`HistoryStats`]
-/// quantifies.
+/// quantifies. The cache is not checkpointed, so a set `ckpt_dir` or
+/// `resume_from` is refused.
 pub fn train_history(
     ds: &Dataset,
     fanout: usize,
     cfg: &TrainConfig,
 ) -> TrainResult<(TrainReport, HistoryStats)> {
-    ensure_classes(ds)?;
+    let mut driver = Driver::without_checkpoints(cfg, ds, "history-cache")?;
     let hidden = *cfg.hidden.first().unwrap_or(&32);
     let d = ds.feature_dim();
     let n = ds.num_nodes();
-    let mut ledger = build_ledger(cfg);
-    ledger.try_alloc(ds.features.nbytes())?;
+    driver.ledger.try_alloc(ds.features.nbytes())?;
     let cache = HistoryCache::new(n, hidden);
-    ledger.try_alloc(cache.nbytes())?;
+    driver.ledger.try_alloc(cache.nbytes())?;
     // Layer 1: features → hidden; layer 2: hidden → classes.
-    let mut self1 = Linear::new(d, hidden, cfg.seed);
-    let mut neigh1 = Linear::new(d, hidden, cfg.seed + 1);
-    let mut relu1 = ReLU::new();
-    let mut self2 = Linear::new(hidden, ds.num_classes, cfg.seed + 2);
-    let mut neigh2 = Linear::new(hidden, ds.num_classes, cfg.seed + 3);
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut in_train = vec![false; n];
-    for &u in &ds.splits.train {
-        in_train[u as usize] = true;
-    }
-    let mut iter = 0u64;
-    let mut fetches = 0u64;
-    let mut hits = 0u64;
-    let mut age_sum = 0f64;
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
+    let mut net = HistoryNet {
+        self1: Linear::new(d, hidden, cfg.seed),
+        neigh1: Linear::new(d, hidden, cfg.seed + 1),
+        relu1: ReLU::new(),
+        self2: Linear::new(hidden, ds.num_classes, cfg.seed + 2),
+        neigh2: Linear::new(hidden, ds.num_classes, cfg.seed + 3),
+    };
+    let mask = TrainMask::new(ds);
+    let (mut iter, mut fetches, mut hits, mut age_sum) = (0u64, 0u64, 0u64, 0f64);
     // Aggregation scratch reused across every batch of every epoch.
     let mut agg1 = DenseMatrix::default();
     let mut agg2 = DenseMatrix::default();
     // GAS-style schedule: batches cover *every* node (so each node's
     // history refreshes once per epoch); the loss only uses train members.
     let mut schedule: Vec<NodeId> = (0..n as NodeId).collect();
-    let mut phases = PhaseBreakdown::new();
-    for epoch in 0..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        // Deterministic reshuffle per epoch.
-        let mut rng = sgnn_linalg::rng::seeded(cfg.seed.wrapping_add(epoch as u64));
-        for i in (1..schedule.len()).rev() {
-            use rand::RngExt;
-            let j = rng.random_range(0..=i);
-            schedule.swap(i, j);
-        }
-        for (bi, chunk) in schedule.chunks(cfg.batch_size).enumerate() {
-            iter += 1;
-            let seed = cfg.seed.wrapping_add((epoch * 7919 + bi) as u64);
-            let (blocks, blocks1, x_src1, x_batch) = phases.time(Phase::Sample, || {
-                // One sampled hop for layer 2's neighborhood.
-                let blocks = sample_blocks(&ds.graph, chunk, &[fanout], seed);
-                // Fresh layer-1 activations for the *batch* nodes only.
-                let blocks1 = sample_blocks(&ds.graph, chunk, &[fanout], seed ^ 0xABCD);
-                let x_src1 = ds.features.gather_rows(&rows_of(&blocks1[0].src));
-                let x_batch = ds.features.gather_rows(&rows_of(chunk));
-                (blocks, blocks1, x_src1, x_batch)
-            });
-            let block = &blocks[0];
-            let b1 = &blocks1[0];
-            let (h1_batch, h1_src, logits) = phases.time(Phase::Forward, || {
-                agg1.reshape_scratch(b1.num_dst(), x_src1.cols());
-                b1.aggregate_into(&x_src1, &mut agg1);
-                let mut z1 = self1.forward(&x_batch);
-                let z1n = neigh1.forward(&agg1);
-                z1.add_scaled(1.0, &z1n).expect("shapes fixed");
-                let h1_batch = relu1.forward(&z1);
-                // Layer-2 inputs: fresh h1 for the batch prefix, cached h1
-                // for the out-of-batch sources (stop-gradient).
-                let (cached, hit, age) = cache.fetch_batch(&block.src[chunk.len()..], iter);
-                fetches += (block.src.len() - chunk.len()) as u64;
-                hits += hit as u64;
-                age_sum += age * hit as f64;
-                let h1_src = h1_batch.concat_rows(&cached).expect("widths equal");
-                agg2.reshape_scratch(block.num_dst(), h1_src.cols());
-                block.aggregate_into(&h1_src, &mut agg2);
-                let mut logits = self2.forward(&h1_batch);
-                let l2n = neigh2.forward(&agg2);
-                logits.add_scaled(1.0, &l2n).expect("shapes fixed");
-                (h1_batch, h1_src, logits)
-            });
-            // Loss over the chunk's train members only; other rows get
-            // zero gradient (their forward still refreshes the cache).
-            let weights: Vec<f32> =
-                chunk.iter().map(|&u| if in_train[u as usize] { 1.0 } else { 0.0 }).collect();
-            if weights.iter().all(|&w| w == 0.0) {
-                cache.push_batch(chunk, iter, &h1_batch);
-                continue;
+    let report = driver.run(
+        "history-cache".into(),
+        0.0,
+        &mut net,
+        |net, ep| {
+            let HistoryNet { self1, neigh1, relu1, self2, neigh2 } = net;
+            let epoch = ep.index;
+            // Deterministic reshuffle per epoch.
+            let mut rng = sgnn_linalg::rng::seeded(cfg.seed.wrapping_add(epoch as u64));
+            for i in (1..schedule.len()).rev() {
+                use rand::RngExt;
+                let j = rng.random_range(0..=i);
+                schedule.swap(i, j);
             }
-            let (loss, dl) = phases.time(Phase::Forward, || {
-                softmax_cross_entropy(&logits, &ds.labels_of(chunk), Some(&weights))
-            });
-            final_loss = loss;
-            phases.time(Phase::Backward, || {
-                for l in [&mut self1, &mut neigh1, &mut self2, &mut neigh2] {
-                    l.zero_grad();
+            let mut loss = None;
+            for (bi, chunk) in schedule.chunks(cfg.batch_size).enumerate() {
+                iter += 1;
+                let seed = cfg.seed.wrapping_add((epoch * 7919 + bi) as u64);
+                let (blocks, blocks1, x_src1, x_batch) = ep.phases.time(Phase::Sample, || {
+                    // One sampled hop for layer 2's neighborhood.
+                    let blocks = sample_blocks(&ds.graph, chunk, &[fanout], seed);
+                    // Fresh layer-1 activations for the *batch* nodes only.
+                    let blocks1 = sample_blocks(&ds.graph, chunk, &[fanout], seed ^ 0xABCD);
+                    let x_src1 = ds.features.gather_rows(&rows_of(&blocks1[0].src));
+                    let x_batch = ds.features.gather_rows(&rows_of(chunk));
+                    (blocks, blocks1, x_src1, x_batch)
+                });
+                let block = &blocks[0];
+                let b1 = &blocks1[0];
+                // Loss over the chunk's train members only; other rows get
+                // zero gradient (their forward still refreshes the cache).
+                let weights: Vec<f32> =
+                    chunk.iter().map(|&u| if mask.contains(u) { 1.0 } else { 0.0 }).collect();
+                let trains = weights.iter().any(|&w| w != 0.0);
+                if trains {
+                    // Layer-1 inputs, layer-2 inputs (fresh + cached), the
+                    // fresh activations and their gradient, and the
+                    // layer-2 aggregate.
+                    ep.ledger.try_transient(
+                        x_src1.nbytes()
+                            + matrix_bytes(block.src.len(), hidden)
+                            + 2 * matrix_bytes(chunk.len(), hidden)
+                            + matrix_bytes(block.num_dst(), hidden),
+                    )?;
                 }
-                let d_h1_direct = self2.backward(&dl);
-                let d_agg2 = neigh2.backward(&dl);
-                let d_h1_src = block.aggregate_backward(&d_agg2);
-                // Only the fresh prefix is differentiable; cached rows are
-                // constants.
-                let mut d_h1 = d_h1_direct;
-                for r in 0..chunk.len() {
-                    sgnn_linalg::vecops::axpy(1.0, d_h1_src.row(r), d_h1.row_mut(r));
+                let (h1_batch, logits) = ep.phases.time(Phase::Forward, || {
+                    agg1.reshape_scratch(b1.num_dst(), x_src1.cols());
+                    b1.aggregate_into(&x_src1, &mut agg1);
+                    let mut z1 = self1.forward(&x_batch);
+                    let z1n = neigh1.forward(&agg1);
+                    z1.add_scaled(1.0, &z1n).expect("shapes fixed");
+                    let h1_batch = relu1.forward(&z1);
+                    // Layer-2 inputs: fresh h1 for the batch prefix, cached h1
+                    // for the out-of-batch sources (stop-gradient).
+                    let (cached, hit, age) = cache.fetch_batch(&block.src[chunk.len()..], iter);
+                    fetches += (block.src.len() - chunk.len()) as u64;
+                    hits += hit as u64;
+                    age_sum += age * hit as f64;
+                    let h1_src = h1_batch.concat_rows(&cached).expect("widths equal");
+                    agg2.reshape_scratch(block.num_dst(), h1_src.cols());
+                    block.aggregate_into(&h1_src, &mut agg2);
+                    let mut logits = self2.forward(&h1_batch);
+                    let l2n = neigh2.forward(&agg2);
+                    logits.add_scaled(1.0, &l2n).expect("shapes fixed");
+                    (h1_batch, logits)
+                });
+                if !trains {
+                    cache.push_batch(chunk, iter, &h1_batch);
+                    continue;
                 }
-                let d_z1 = relu1.backward(&d_h1);
-                let _ = self1.backward(&d_z1);
-                let _ = neigh1.backward(&d_z1);
-            });
-            phases.time(Phase::Step, || {
-                let mut slot = 0usize;
-                for l in [&mut self1, &mut neigh1, &mut self2, &mut neigh2] {
-                    l.visit_params(&mut |p, g| {
-                        opt.update(slot, p, g);
-                        slot += 1;
-                    });
-                }
-                opt.step_done();
-            });
-            // Refresh the cache with this batch's fresh activations.
-            cache.push_batch(chunk, iter, &h1_batch);
-            ledger.try_transient(
-                x_src1.nbytes() + h1_src.nbytes() + 2 * h1_batch.nbytes() + agg2.nbytes(),
-            )?;
-        }
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
-    // Inference: exact 2-hop with wide fanout (no cache).
-    let eval = |nodes: &[NodeId]| -> f64 {
-        let mut correct = 0usize;
-        for chunk in nodes.chunks(1024) {
-            let blocks = sample_blocks(&ds.graph, chunk, &[25, 25], 777);
-            // Layer 1 over the inner block.
-            let inner = &blocks[0];
-            let x_in = ds.features.gather_rows(&rows_of(&inner.src));
-            let agg1 = inner.aggregate(&x_in);
-            let x_dst = ds.features.gather_rows(&rows_of(&inner.dst));
-            let mut z1 = self1.forward_inference(&x_dst);
-            z1.add_scaled(1.0, &neigh1.forward_inference(&agg1)).expect("shapes");
-            let h1 = relu1.forward_inference(&z1);
-            // Layer 2 over the outer block.
-            let outer = &blocks[1];
-            let agg2 = outer.aggregate(&h1);
-            let h1_batch = h1.gather_rows(&(0..outer.num_dst()).collect::<Vec<_>>());
-            let mut logits = self2.forward_inference(&h1_batch);
-            logits.add_scaled(1.0, &neigh2.forward_inference(&agg2)).expect("shapes");
-            let labels = ds.labels_of(chunk);
-            correct +=
-                logits.argmax_rows().iter().zip(labels.iter()).filter(|&(p, t)| p == t).count();
-        }
-        correct as f64 / nodes.len().max(1) as f64
-    };
-    let val_acc = eval(&ds.splits.val);
-    let test_acc = eval(&ds.splits.test);
+                let (l, dl) = ep.phases.time(Phase::Forward, || {
+                    softmax_cross_entropy(&logits, &ds.labels_of(chunk), Some(&weights))
+                });
+                loss = Some(l);
+                ep.phases.time(Phase::Backward, || {
+                    for l in [&mut *self1, &mut *neigh1, &mut *self2, &mut *neigh2] {
+                        l.zero_grad();
+                    }
+                    let d_h1_direct = self2.backward(&dl);
+                    let d_agg2 = neigh2.backward(&dl);
+                    let d_h1_src = block.aggregate_backward(&d_agg2);
+                    // Only the fresh prefix is differentiable; cached rows are
+                    // constants.
+                    let mut d_h1 = d_h1_direct;
+                    for r in 0..chunk.len() {
+                        sgnn_linalg::vecops::axpy(1.0, d_h1_src.row(r), d_h1.row_mut(r));
+                    }
+                    let d_z1 = relu1.backward(&d_h1);
+                    let _ = self1.backward(&d_z1);
+                    let _ = neigh1.backward(&d_z1);
+                });
+                let opt = &mut *ep.opt;
+                ep.phases.time(Phase::Step, || {
+                    let mut slot = 0usize;
+                    for l in [&mut *self1, &mut *neigh1, &mut *self2, &mut *neigh2] {
+                        l.visit_params(&mut |p, g| {
+                            opt.update(slot, p, g);
+                            slot += 1;
+                        });
+                    }
+                    opt.step_done();
+                });
+                // Refresh the cache with this batch's fresh activations.
+                cache.push_batch(chunk, iter, &h1_batch);
+            }
+            Ok(loss)
+        },
+        |net, test| {
+            // Inference: exact 2-hop with wide fanout (no cache).
+            Ok(split_scores(ds, test, |nodes| {
+                chunked_accuracy(ds, nodes, |chunk| {
+                    let blocks = sample_blocks(&ds.graph, chunk, &[25, 25], 777);
+                    // Layer 1 over the inner block.
+                    let inner = &blocks[0];
+                    let x_in = ds.features.gather_rows(&rows_of(&inner.src));
+                    let agg1 = inner.aggregate(&x_in);
+                    let x_dst = ds.features.gather_rows(&rows_of(&inner.dst));
+                    let mut z1 = net.self1.forward_inference(&x_dst);
+                    z1.add_scaled(1.0, &net.neigh1.forward_inference(&agg1)).expect("shapes");
+                    let h1 = net.relu1.forward_inference(&z1);
+                    // Layer 2 over the outer block.
+                    let outer = &blocks[1];
+                    let agg2 = outer.aggregate(&h1);
+                    let h1_batch = h1.gather_rows(&(0..outer.num_dst()).collect::<Vec<_>>());
+                    let mut logits = net.self2.forward_inference(&h1_batch);
+                    logits.add_scaled(1.0, &net.neigh2.forward_inference(&agg2)).expect("shapes");
+                    logits
+                })
+            }))
+        },
+    )?;
     let stats = HistoryStats {
         hit_rate: hits as f64 / fetches.max(1) as f64,
         mean_age: if hits > 0 { age_sum / hits as f64 } else { 0.0 },
-    };
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: "history-cache".into(),
-        test_acc,
-        val_acc,
-        final_loss,
-        precompute_secs: 0.0,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run: cfg.epochs,
-        phases,
     };
     Ok((report, stats))
 }
@@ -220,8 +225,7 @@ pub fn train_history(
 /// nodes, and train GCN batches of (one subgraph + all coarse nodes) so
 /// inter-subgraph information keeps flowing.
 pub fn train_seignn(ds: &Dataset, parts: usize, cfg: &TrainConfig) -> TrainResult<TrainReport> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
+    let mut driver = Driver::new(cfg, ds)?;
     let t0 = Instant::now();
     let p = sgnn_partition::multilevel_partition(
         &ds.graph,
@@ -231,83 +235,31 @@ pub fn train_seignn(ds: &Dataset, parts: usize, cfg: &TrainConfig) -> TrainResul
     let aug = sgnn_coarsen::seignn::augment(&ds.graph, &p);
     let ax = aug.augment_features(&ds.features);
     let precompute_secs = t0.elapsed().as_secs_f64();
-    ledger.try_alloc(ax.nbytes())?;
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut in_train = vec![false; ds.num_nodes()];
-    for &u in &ds.splits.train {
-        in_train[u as usize] = true;
-    }
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut max_batch = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    for epoch in 0..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        for part in 0..parts as u32 {
-            let (op, x, map, idx, labels) = phases.time(Phase::Sample, || {
-                let (sub, map) = aug.batch_subgraph(part);
-                let op = gcn_operator(&sub);
-                let x = ax.gather_rows(&rows_of(&map));
-                let mut idx = Vec::new();
-                let mut labels = Vec::new();
-                for (local, &g) in map.iter().enumerate() {
-                    if (g as usize) < ds.num_nodes() && in_train[g as usize] {
-                        idx.push(local);
-                        labels.push(ds.labels[g as usize]);
-                    }
-                }
-                (op, x, map, idx, labels)
-            });
-            // Batch residency: the subgraph operator and gathered features
-            // are live alongside the layer activations.
-            max_batch = max_batch
-                .max(op.nbytes() + x.nbytes() + gcn.step_bytes(map.len(), ds.feature_dim()));
-            if idx.is_empty() {
-                continue;
-            }
-            let (loss, dl_batch) = phases.time(Phase::Forward, || {
-                let logits = gcn.forward(&op, &x);
-                let batch_logits = logits.gather_rows(&idx);
-                softmax_cross_entropy(&batch_logits, &labels, None)
-            });
-            final_loss = loss;
-            phases.time(Phase::Backward, || {
-                let mut dl = DenseMatrix::zeros(map.len(), ds.num_classes);
-                dl.scatter_rows(&idx, &dl_batch);
-                gcn.zero_grad();
-                gcn.backward(&op, &dl);
-            });
-            phases.time(Phase::Step, || gcn.step(&mut opt));
-        }
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    ledger.try_transient(max_batch)?;
-    let train_secs = t1.elapsed().as_secs_f64();
-    // Evaluate on the full augmented graph; read original-node logits.
-    let op = gcn_operator(&aug.graph);
-    let logits = gcn.forward_inference(&op, &ax);
-    let val_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.test)), &ds.labels_of(&ds.splits.test));
-    sgnn_obs::export_now();
-    Ok(TrainReport {
-        name: format!("seignn-p{parts}"),
-        test_acc,
-        val_acc,
-        final_loss,
+    driver.ledger.try_alloc(ax.nbytes())?;
+    let mut gcn = new_gcn(ds, cfg);
+    let mask = TrainMask::new(ds);
+    driver.run(
+        format!("seignn-p{parts}"),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run: cfg.epochs,
-        phases,
-    })
+        &mut gcn,
+        |gcn, ep| {
+            let mut loss = None;
+            for part in 0..parts as u32 {
+                let (op, x, idx, labels) = ep.phases.time(Phase::Sample, || {
+                    let (sub, map) = aug.batch_subgraph(part);
+                    let (idx, labels) = mask.loss_rows(ds, &map);
+                    (gcn_operator(&sub), ax.gather_rows(&rows_of(&map)), idx, labels)
+                });
+                loss = ep.gcn_batch(gcn, &op, &x, &idx, &labels, None)?.or(loss);
+            }
+            Ok(loss)
+        },
+        |gcn, test| {
+            // Evaluate on the full augmented graph; read original-node logits.
+            let op = gcn_operator(&aug.graph);
+            Ok(logits_accuracy(ds, &gcn.forward_inference(&op, &ax), test))
+        },
+    )
 }
 
 #[cfg(test)]

@@ -10,13 +10,14 @@
 //! counters — those are zero-overhead-when-off and this binary runs
 //! without observability.
 
-use sgnn::core::error::TrainError;
+use sgnn::core::error::{TrainError, TrainResult};
 use sgnn::core::models::decoupled::PrecomputeMethod;
 use sgnn::core::shard::train_sharded_gcn;
 use sgnn::core::trainer::{
     train_cluster_gcn, train_coarse, train_decoupled, train_full_gcn, train_saint, train_sampled,
     SamplerKind, TrainConfig,
 };
+use sgnn::core::trainer_ext::{train_history, train_seignn};
 use sgnn::data::sbm_dataset;
 use sgnn::fault::{Ckpt, CkptError, FaultPlan};
 use sgnn::partition::hash_partition;
@@ -241,6 +242,59 @@ fn exceeding_the_budget_errors_from_every_trainer() {
     budget_err(train_coarse(&ds, 0.5, &cfg).expect_err("coarse"));
     let part = hash_partition(ds.num_nodes(), 2);
     budget_err(train_sharded_gcn(&ds, &part, &cfg).err().expect("sharded"));
+    budget_err(train_history(&ds, 4, &cfg).expect_err("history"));
+    budget_err(train_seignn(&ds, 4, &cfg).expect_err("seignn"));
+}
+
+/// Runs `train` under a budget of exactly its `resident` charges, so no
+/// batch transient fits, with a kill armed at epoch 1. Charged per batch
+/// before its forward pass, the budget must trip in epoch 0; a trainer
+/// that charged batches only after its epoch loop would instead train
+/// epoch 0 and die at the kill.
+fn assert_fails_at_first_batch<T>(resident: usize, train: impl Fn(&TrainConfig) -> TrainResult<T>) {
+    let plan = Arc::new(FaultPlan::new(3).kill_at_epoch(1));
+    let cfg = TrainConfig {
+        epochs: 3,
+        hidden: vec![4],
+        batch_size: 64,
+        mem_budget: Some(resident),
+        fault_plan: Some(Arc::clone(&plan)),
+        ..Default::default()
+    };
+    match train(&cfg).err() {
+        Some(TrainError::BudgetExceeded(b)) => assert_eq!(b.current, resident, "resident fits"),
+        other => panic!("expected BudgetExceeded at the first batch, got {other:?}"),
+    }
+    assert!(!plan.exhausted(), "epoch 0 ran to the kill");
+}
+
+#[test]
+fn sampled_budget_trips_at_the_first_batch() {
+    let ds = small_ds();
+    assert_fails_at_first_batch(ds.features.nbytes(), |cfg| {
+        train_sampled(&ds, &SamplerKind::NodeWise(vec![4, 4]), cfg)
+    });
+}
+
+#[test]
+fn saint_budget_trips_at_the_first_batch() {
+    let ds = small_ds();
+    let sampler = sgnn::sample::SaintSampler::RandomWalk { roots: 20, length: 4 };
+    assert_fails_at_first_batch(ds.features.nbytes(), |cfg| train_saint(&ds, sampler, 2, cfg));
+}
+
+#[test]
+fn cluster_gcn_budget_trips_at_the_first_batch() {
+    let ds = small_ds();
+    assert_fails_at_first_batch(ds.features.nbytes(), |cfg| train_cluster_gcn(&ds, 4, 2, cfg));
+}
+
+#[test]
+fn seignn_budget_trips_at_the_first_batch() {
+    let ds = small_ds();
+    // Resident: the features augmented with one coarse row per part.
+    let resident = (ds.num_nodes() + 4) * ds.feature_dim() * 4;
+    assert_fails_at_first_batch(resident, |cfg| train_seignn(&ds, 4, cfg));
 }
 
 #[test]
@@ -275,4 +329,38 @@ fn generous_budget_does_not_perturb_training() {
     let (_, report) = train_full_gcn(&ds, &cfg).unwrap();
     assert_eq!(report.final_loss.to_bits(), ref_report.final_loss.to_bits());
     assert_eq!(report.test_acc, ref_report.test_acc);
+}
+
+// ---------------------------------------------------------------------------
+// Invalid caller input → typed error, no panic
+// ---------------------------------------------------------------------------
+
+fn assert_invalid_input(err: Option<TrainError>) {
+    assert!(matches!(err, Some(TrainError::InvalidInput(_))), "expected InvalidInput, got {err:?}");
+}
+
+#[test]
+fn fanouts_not_matching_the_layers_are_refused() {
+    let ds = small_ds();
+    let cfg = TrainConfig { epochs: 1, hidden: vec![4], ..Default::default() };
+    // One hidden layer makes two layers; three fanouts do not fit.
+    assert_invalid_input(train_sampled(&ds, &SamplerKind::NodeWise(vec![4, 4, 4]), &cfg).err());
+}
+
+#[test]
+fn partition_not_covering_the_dataset_is_refused() {
+    let ds = small_ds();
+    let cfg = TrainConfig { epochs: 1, hidden: vec![4], ..Default::default() };
+    let part = hash_partition(ds.num_nodes() - 1, 2);
+    assert_invalid_input(train_sharded_gcn(&ds, &part, &cfg).err());
+}
+
+#[test]
+fn partition_with_an_out_of_range_part_id_is_refused() {
+    let ds = small_ds();
+    let cfg = TrainConfig { epochs: 1, hidden: vec![4], ..Default::default() };
+    // Built through the public fields, which `Partition::new` would check.
+    let mut part = hash_partition(ds.num_nodes(), 2);
+    part.parts[7] = 2;
+    assert_invalid_input(train_sharded_gcn(&ds, &part, &cfg).err());
 }

@@ -16,13 +16,16 @@
 
 use sgnn::core::ckpt::SlotParams;
 use sgnn::core::error::{TrainError, TrainResult};
+use sgnn::core::models::decoupled::PrecomputeMethod;
 use sgnn::core::shard::train_sharded_gcn;
 use sgnn::core::trainer::{
-    train_cluster_gcn, train_full_gcn, train_saint, train_sampled, SamplerKind, TrainConfig,
-    TrainReport,
+    train_cluster_gcn, train_coarse_with, train_decoupled, train_full_gcn, train_saint,
+    train_sampled, SamplerKind, TrainConfig, TrainReport,
 };
+use sgnn::core::trainer_ext::{train_history, train_seignn};
 use sgnn::data::sbm_dataset;
 use sgnn::fault::FaultPlan;
+use sgnn::linalg::DenseMatrix;
 use sgnn::partition::hash_partition;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -147,6 +150,66 @@ fn cluster_gcn_killed_at_every_epoch_resumes_bitwise() {
     let ds = sbm_dataset(220, 3, 8.0, 0.85, 6, 0.8, 0, 0.5, 0.25, 19);
     let base = TrainConfig { epochs: 3, hidden: vec![6], ..Default::default() };
     sweep_epoch_kills("cluster", &base, 3, |cfg| train_cluster_gcn(&ds, 6, 2, cfg));
+}
+
+/// Report-only adapter for trainers that return no model: the sweep then
+/// compares loss bits and val/test accuracy (no weights to compare).
+struct NoParams;
+
+impl SlotParams for NoParams {
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut DenseMatrix)) {}
+}
+
+/// A run with `ckpt_dir` set leaves a checkpoint behind — without it the
+/// kill sweep would pass vacuously, every resume a cold start.
+fn assert_checkpoints(
+    tag: &str,
+    base: &TrainConfig,
+    run: impl Fn(&TrainConfig) -> TrainResult<()>,
+) {
+    let dir = tmp_dir(&format!("{tag}_written"));
+    run(&TrainConfig { ckpt_dir: Some(dir.clone()), ..base.clone() }).unwrap();
+    assert!(maybe_ckpt(&dir).is_some(), "{tag} wrote no checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn coarse_killed_at_every_epoch_resumes_bitwise() {
+    let ds = sbm_dataset(220, 3, 8.0, 0.85, 6, 0.8, 0, 0.5, 0.25, 37);
+    let coarse = sgnn::coarsen::coarsen_to_ratio(&ds.graph, 0.5, 0);
+    let base = TrainConfig { epochs: 3, hidden: vec![6], dropout: 0.1, ..Default::default() };
+    let run = |cfg: &TrainConfig| train_coarse_with(&ds, &coarse, cfg, "coarse-r0.5");
+    assert_checkpoints("coarse", &base, |cfg| run(cfg).map(|_| ()));
+    sweep_epoch_kills("coarse", &base, 3, |cfg| run(cfg).map(|r| (NoParams, r)));
+}
+
+#[test]
+fn seignn_killed_at_every_epoch_resumes_bitwise() {
+    let ds = sbm_dataset(220, 3, 8.0, 0.85, 6, 0.8, 0, 0.5, 0.25, 41);
+    let base = TrainConfig { epochs: 3, hidden: vec![6], dropout: 0.1, ..Default::default() };
+    assert_checkpoints("seignn", &base, |cfg| train_seignn(&ds, 4, cfg).map(|_| ()));
+    sweep_epoch_kills("seignn", &base, 3, |cfg| train_seignn(&ds, 4, cfg).map(|r| (NoParams, r)));
+}
+
+#[test]
+fn trainers_without_checkpointable_state_refuse_checkpoint_settings() {
+    // The decoupled MLP and the history trainer's cache cannot be
+    // restored, so asking either to checkpoint or resume is an error
+    // raised before any work, not a silent cold start.
+    let ds = sbm_dataset(200, 3, 8.0, 0.85, 5, 0.8, 0, 0.5, 0.25, 43);
+    let dir = tmp_dir("stateless");
+    let base = TrainConfig { epochs: 2, hidden: vec![5], ..Default::default() };
+    for cfg in [
+        TrainConfig { ckpt_dir: Some(dir.clone()), ..base.clone() },
+        TrainConfig { resume_from: Some(dir.join("sgc-k2.ckpt")), ..base },
+    ] {
+        let sgc = train_decoupled(&ds, &PrecomputeMethod::Sgc { k: 2 }, &cfg).err();
+        assert!(matches!(sgc, Some(TrainError::InvalidInput(_))), "decoupled: {sgc:?}");
+        let history = train_history(&ds, 4, &cfg).err();
+        assert!(matches!(history, Some(TrainError::InvalidInput(_))), "history: {history:?}");
+    }
+    assert_eq!(maybe_ckpt(&dir), None, "a refused run must write nothing");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
