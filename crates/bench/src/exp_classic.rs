@@ -154,7 +154,7 @@ pub fn e4_decoupled_scaling() -> bool {
             &train_decoupled(&ds, &PrecomputeMethod::Appnp { alpha: 0.15, k: 10 }, &cfg).unwrap().1,
         );
         print_report(
-            &train_decoupled(&ds, &PrecomputeMethod::Scara { alpha: 0.15, eps: 1e-5 }, &cfg)
+            &train_decoupled(&ds, &PrecomputeMethod::Scara { alpha: 0.15, rmax: 1e-5 }, &cfg)
                 .unwrap()
                 .1,
         );

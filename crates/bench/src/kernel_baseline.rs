@@ -4,9 +4,8 @@
 //! scoped threads on every call and `spmm` partitioned output rows into
 //! equal *row-count* chunks with a per-edge `weights.map_or` branch. The
 //! production kernels replaced all of that; these faithful replicas exist
-//! so `benches/kernels.rs` and the `benchkernels` bin can measure the
-//! pool's dispatch-overhead and load-balance wins against the old design
-//! on the same inputs.
+//! so the `benchkernels` bin can measure the pool's dispatch-overhead and
+//! load-balance wins against the old design on the same inputs.
 
 use sgnn_graph::CsrGraph;
 use sgnn_linalg::par::num_threads;

@@ -2,10 +2,12 @@
 //!
 //! The benchmark harness regenerating every experiment in EXPERIMENTS.md.
 //!
-//! Two entry points:
+//! Two kinds of entry point:
 //! - the `expfig` binary (`cargo run --release -p sgnn-bench --bin expfig
 //!   -- e4`) prints the table/series of a single experiment (or `all`);
-//! - Criterion benches (`cargo bench`) cover the timing-sensitive kernels.
+//! - the gated `bench*` binaries (`benchkernels`, `benchsampling`,
+//!   `benchsharding`, `benchrecovery`, `benchserve`) time the
+//!   performance-sensitive kernels and write the JSON `benchdiff` checks.
 //!
 //! Each `e*` function is self-contained: it generates its workload,
 //! sweeps its parameter, and prints the same rows EXPERIMENTS.md records.

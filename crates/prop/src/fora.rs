@@ -17,6 +17,8 @@ use sgnn_graph::{CsrGraph, NodeId};
 /// `eps` is the push threshold (`r(u) < eps·deg(u)` stops pushing);
 /// `walks_per_unit` scales how many α-terminated walks each unit of
 /// leftover residual receives. `walks_per_unit = 0` reduces to plain push.
+/// A `source` outside the graph (`source ≥ n`) leaves no residual to walk
+/// from, so it gets the all-zero vector.
 pub fn fora_ppr(
     g: &CsrGraph,
     source: NodeId,

@@ -13,8 +13,12 @@
 //! - [`power`] — exact K-step power propagation (SGC) and iterative APPNP
 //!   smoothing, plus multi-hop embedding stacks for multi-scale models.
 //! - [`push`] — Andersen-style forward push for single-source PPR with an
-//!   `ε·deg` residual guarantee, and SCARA-style *feature-oriented* push
-//!   that propagates feature columns instead of node indicators.
+//!   `ε·deg` residual guarantee, and the one SCARA-style column kernel
+//!   ([`smooth_matrix`]) that smooths whole feature columns with the same
+//!   row-stochastic PPR operator, within a proved entrywise bound `rmax`.
+//!   Decoupled training (`PrecomputeMethod::Scara`) and the serving
+//!   store both call it, so a trained head is served rows of the
+//!   operator it was trained on.
 //! - [`mc`] — Monte-Carlo PPR via α-terminated random walks.
 //! - [`heat`] — heat-kernel propagation via truncated Taylor series.
 //! - [`receptive`] — receptive-field and aggregation-count measurements
@@ -33,4 +37,7 @@ pub mod push;
 pub mod receptive;
 
 pub use power::{appnp_propagate, hop_embeddings, power_propagate};
-pub use push::{feature_push, forward_push, Push, PushStats, PushWorkspace};
+pub use push::{
+    forward_push, smooth_column, smooth_column_exact, smooth_column_push, smooth_matrix,
+    smooth_matrix_seq, Push, PushStats, PushWorkspace,
+};

@@ -14,7 +14,8 @@ use sgnn_graph::{CsrGraph, NodeId};
 ///
 /// Each walk terminates with probability `alpha` per step (geometric
 /// length); its endpoint receives `1/walks` mass. Dangling nodes absorb
-/// the walk.
+/// the walk. A `source` outside the graph (`source ≥ n`) gets the
+/// all-zero vector.
 pub fn ppr_monte_carlo(
     g: &CsrGraph,
     source: NodeId,
@@ -24,6 +25,9 @@ pub fn ppr_monte_carlo(
 ) -> Vec<f64> {
     let n = g.num_nodes();
     let mut pi = vec![0f64; n];
+    if source as usize >= n {
+        return pi;
+    }
     let mut rng = sgnn_linalg::rng::seeded(seed);
     let inc = 1.0 / walks as f64;
     for _ in 0..walks {

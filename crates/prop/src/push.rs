@@ -14,25 +14,50 @@
 //! entry points [`forward_push`] and [`forward_push_residuals`] run it on
 //! a fresh workspace and hand its vectors out.
 //!
-//! [`feature_push`] is the SCARA-style feature-oriented variant: instead of
-//! pushing a node-indicator, it pushes an arbitrary (signed) feature column
-//! backwards through the same recurrence, so a whole feature matrix can be
-//! smoothed column-parallel without per-node queries. It seeds every node,
-//! so a sparse workspace would buy it nothing.
+//! The column kernels smooth whole feature columns with the operator
+//! `S = Σ_{i≥0} α(1−α)^i P^i`, `P = D⁻¹A` **row-stochastic** (mean over
+//! neighbors; a node with no neighbors keeps its own value — the
+//! self-loop convention every PPR kernel here uses for dangling nodes).
+//! Row `u` of `S·X` is `π_uᵀ X` with `π_u` the PPR vector
+//! [`forward_push`] estimates, so a decoupled model trained on `S·X` and
+//! served per-node rows of it sees one operator. Two kernels per column:
+//!
+//! - [`smooth_column_push`] (`rmax > 0`): SCARA-style signed push with a
+//!   **uniform** residual threshold, proved entrywise bound
+//!   `|p(u) − (S·x)(u)| < rmax`;
+//! - [`smooth_column_exact`] (`rmax = 0`): dense term iteration run until
+//!   the term vector underflows — the bitwise reference.
+//!
+//! Both are single-threaded per column with fixed traversal order;
+//! [`smooth_matrix`] parallelizes over columns with
+//! [`sgnn_linalg::par::par_map_chunks`], whose index-ordered merge makes
+//! the parallel matrix bitwise-identical to [`smooth_matrix_seq`] at any
+//! thread count (DESIGN.md §6).
 
 use sgnn_graph::{CsrGraph, NodeId};
+use sgnn_linalg::par::par_map_chunks;
 use sgnn_linalg::DenseMatrix;
 use std::collections::VecDeque;
+use std::ops::AddAssign;
 
-/// Statistics of one push run (work measures for the experiments).
+/// Statistics of one push run (work measures for the experiments);
+/// `+=` sums the runs of several columns.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PushStats {
     /// Number of push operations performed.
     pub pushes: u64,
     /// Total edge traversals (Σ deg of pushed nodes).
     pub edge_touches: u64,
-    /// Nonzeros in the returned estimate vector.
+    /// Nonzeros in the returned estimate vector(s).
     pub nnz: usize,
+}
+
+impl AddAssign<&PushStats> for PushStats {
+    fn add_assign(&mut self, other: &PushStats) {
+        self.pushes += other.pushes;
+        self.edge_touches += other.edge_touches;
+        self.nnz += other.nnz;
+    }
 }
 
 /// Forward local push from `source` on an **unweighted, out-degree
@@ -41,7 +66,9 @@ pub struct PushStats {
 /// Returns `(p, stats)` where `p` is the dense estimate vector. The
 /// invariant maintained is `π = p + Σ_u r(u)·π_u` with all residuals below
 /// `eps·deg(u)` on exit, giving `0 ≤ π(v) − p(v) ≤ eps·deg(v)` plus the
-/// degree-0 corner handled by self-absorption.
+/// degree-0 corner handled by self-absorption. A `source` outside the
+/// graph (`source ≥ n`) gets the all-zero vector and zero stats.
+///
 /// # Example
 ///
 /// ```
@@ -148,11 +175,15 @@ impl PushWorkspace {
             && self.state.iter().all(|&s| s == 0)
     }
 
-    /// The push loop, leaving its result in place for the caller.
+    /// The push loop, leaving its result in place for the caller. A
+    /// source outside the graph pushes nothing.
     fn run(&mut self, g: &CsrGraph, source: NodeId, alpha: f64, eps: f64) -> PushStats {
         assert_eq!(g.num_nodes(), self.p.len(), "workspace sized for another graph");
         let PushWorkspace { p, r, state, pushed, queue } = self;
         let mut stats = PushStats::default();
+        if source as usize >= p.len() {
+            return stats;
+        }
         r[source as usize] = 1.0;
         // Work queue of nodes whose residual exceeds threshold. The queued
         // bit guards duplicates; the threshold is re-validated on pop.
@@ -203,7 +234,9 @@ impl PushWorkspace {
             self.r.fill(0.0);
             self.state.fill(0);
         } else {
-            self.r[source as usize] = 0.0;
+            if let Some(rs) = self.r.get_mut(source as usize) {
+                *rs = 0.0;
+            }
             for &u in &self.pushed {
                 self.p[u as usize] = 0.0;
                 self.state[u as usize] = 0;
@@ -301,79 +334,176 @@ pub fn ppr_power(g: &CsrGraph, source: NodeId, alpha: f64, tol: f64, max_iter: u
     pi
 }
 
-/// SCARA-style feature push: propagates one signed feature column through
-/// the PPR recurrence, thresholding on `|r(u)| ≥ eps·deg(u)`.
+/// Smooths one feature column with the SCARA-style signed push.
 ///
-/// Equivalent to `Σ_i α(1−α)^i P^i x` with `P = D^{-1}A` row-stochastic,
-/// up to the residual tolerance. The signed threshold makes the error bound
-/// `|π(v) − p(v)| ≤ eps·Σ_u deg(u)·|contribution|`-style (heuristic rather
-/// than exact — see DESIGN.md), which is the trade SCARA exploits for
-/// feature-parallel precomputation.
-pub fn feature_push(g: &CsrGraph, x: &[f32], alpha: f64, eps: f64) -> (Vec<f64>, PushStats) {
+/// Returns `(p, r, stats)`: the estimate, the final residual (every
+/// entry strictly below `rmax` in magnitude), and work counters. The
+/// estimate satisfies `|p(u) − (S·x)(u)| < rmax` for every node: the
+/// loop keeps `S·x = p + S·r`, and `‖S·r‖∞ ≤ ‖r‖∞` because `P` is
+/// row-stochastic.
+///
+/// Termination: each push at `v` removes `deg(v)·|r(v)| ≥ α·rmax` from
+/// the Lyapunov mass `Σ_u deg(u)·|r(u)|` (the `(1−α)` share scattered
+/// to neighbors `u` re-enters with weight `deg(u)·1/deg(u)`), so the
+/// queue drains in finitely many pushes.
+pub fn smooth_column_push(
+    g: &CsrGraph,
+    x: &[f64],
+    alpha: f64,
+    rmax: f64,
+) -> (Vec<f64>, Vec<f64>, PushStats) {
     let n = g.num_nodes();
-    assert_eq!(x.len(), n);
+    assert_eq!(x.len(), n, "column length must match node count");
+    assert!(rmax > 0.0, "rmax must be positive; use smooth_column_exact for the exact operator");
     let mut p = vec![0f64; n];
-    let mut r: Vec<f64> = x.iter().map(|&v| v as f64).collect();
+    let mut r = x.to_vec();
     let mut stats = PushStats::default();
-    let mut queue: std::collections::VecDeque<NodeId> = (0..n as NodeId).collect();
+    // FIFO over nodes whose residual may exceed the threshold; seeded
+    // with every node in id order, re-validated on pop. Single-threaded
+    // fixed order ⇒ bit-deterministic.
+    let mut queue: VecDeque<NodeId> = (0..n as NodeId).collect();
     let mut in_queue = vec![true; n];
-    while let Some(u) = queue.pop_front() {
-        in_queue[u as usize] = false;
-        let deg = g.degree(u);
-        let ru = r[u as usize];
-        if deg == 0 {
-            p[u as usize] += ru;
-            r[u as usize] = 0.0;
-            continue;
-        }
-        if ru.abs() < eps * deg as f64 {
+    while let Some(v) = queue.pop_front() {
+        in_queue[v as usize] = false;
+        let rv = r[v as usize];
+        if rv.abs() < rmax {
             continue;
         }
         stats.pushes += 1;
+        let deg = g.degree(v);
+        if deg == 0 {
+            // Dangling self-loop: the walk stays at v forever, so the
+            // whole geometric series collapses onto p(v).
+            p[v as usize] += rv;
+            r[v as usize] = 0.0;
+            continue;
+        }
         stats.edge_touches += deg as u64;
-        p[u as usize] += alpha * ru;
-        let share = (1.0 - alpha) * ru / deg as f64;
-        r[u as usize] = 0.0;
-        for &v in g.neighbors(u) {
-            r[v as usize] += share;
-            let dv = g.degree(v).max(1);
-            if !in_queue[v as usize] && r[v as usize].abs() >= eps * dv as f64 {
-                in_queue[v as usize] = true;
-                queue.push_back(v);
+        p[v as usize] += alpha * rv;
+        r[v as usize] = 0.0;
+        // Scatter: S·(rv·e_v) = α·rv·e_v + (1−α)·rv·S·(P·e_v), and
+        // (P·e_v)(u) = 1/deg(u) for every neighbor u of v.
+        let share = (1.0 - alpha) * rv;
+        for &u in g.neighbors(v) {
+            let du = g.degree(u).max(1) as f64;
+            r[u as usize] += share / du;
+            if !in_queue[u as usize] && r[u as usize].abs() >= rmax {
+                in_queue[u as usize] = true;
+                queue.push_back(u);
             }
         }
+        // The scatter above may push v's own residual back over the
+        // threshold (self-loops / multi-edges); re-validate it too.
+        if !in_queue[v as usize] && r[v as usize].abs() >= rmax {
+            in_queue[v as usize] = true;
+            queue.push_back(v);
+        }
     }
-    stats.nnz = p.iter().filter(|&&x| x != 0.0).count();
+    stats.nnz = p.iter().filter(|&&v| v != 0.0).count();
+    (p, r, stats)
+}
+
+/// Exact smoothing of one column: dense term iteration
+/// `p += α·t; t ← (1−α)·P·t`, stopping once every term magnitude drops
+/// below the smallest normal f64 (`f64::MIN_POSITIVE`). Since
+/// `‖P·t‖∞ ≤ ‖t‖∞`, the term shrinks geometrically by `(1−α)` per
+/// sweep, so the loop always terminates; the discarded tail is below
+/// `f64::MIN_POSITIVE/α` per entry — far beneath f32 resolution, which
+/// is what makes this the bitwise reference for `rmax = 0`. Each sweep
+/// counts as one push per node.
+pub fn smooth_column_exact(g: &CsrGraph, x: &[f64], alpha: f64) -> (Vec<f64>, PushStats) {
+    let n = g.num_nodes();
+    assert_eq!(x.len(), n, "column length must match node count");
+    let mut p = vec![0f64; n];
+    let mut t = x.to_vec();
+    let mut next = vec![0f64; n];
+    let mut stats = PushStats::default();
+    while t.iter().any(|v| v.abs() >= f64::MIN_POSITIVE) {
+        for u in 0..n {
+            let tu = t[u];
+            p[u] += alpha * tu;
+            let deg = g.degree(u as NodeId);
+            if deg == 0 {
+                next[u] = (1.0 - alpha) * tu;
+                continue;
+            }
+            let mut acc = 0f64;
+            for &v in g.neighbors(u as NodeId) {
+                acc += t[v as usize];
+            }
+            next[u] = (1.0 - alpha) * acc / deg as f64;
+            stats.edge_touches += deg as u64;
+        }
+        stats.pushes += n as u64;
+        std::mem::swap(&mut t, &mut next);
+    }
+    stats.nnz = p.iter().filter(|&&v| v != 0.0).count();
     (p, stats)
 }
 
-/// Smooths every column of `x` with [`feature_push`], returning the
-/// decoupled embedding matrix (`n × d`). Columns are independent; this is
-/// the "feature-oriented parallel computation" SCARA advertises.
-pub fn feature_push_matrix(g: &CsrGraph, x: &DenseMatrix, alpha: f64, eps: f64) -> DenseMatrix {
+/// Dispatch: `rmax > 0` → thresholded push, `rmax ≤ 0` → exact kernel.
+/// Returns `(p, stats)`; the push residual is dropped here (use
+/// [`smooth_column_push`] directly to inspect it).
+pub fn smooth_column(g: &CsrGraph, x: &[f64], alpha: f64, rmax: f64) -> (Vec<f64>, PushStats) {
+    if rmax > 0.0 {
+        let (p, _, stats) = smooth_column_push(g, x, alpha, rmax);
+        (p, stats)
+    } else {
+        smooth_column_exact(g, x, alpha)
+    }
+}
+
+/// Smooths every feature column of `x` into the `n × d` matrix `S·X`,
+/// column-parallel on the worker pool — SCARA's feature-oriented layout.
+///
+/// `par_map_chunks` merges per-column results in index order, so the
+/// output is bitwise-identical to [`smooth_matrix_seq`] at every thread
+/// count; stats are summed in column order.
+pub fn smooth_matrix(
+    g: &CsrGraph,
+    x: &DenseMatrix,
+    alpha: f64,
+    rmax: f64,
+) -> (DenseMatrix, PushStats) {
     let n = x.rows();
     let d = x.cols();
+    assert_eq!(n, g.num_nodes(), "feature rows must match node count");
+    let cols: Vec<Vec<f64>> =
+        (0..d).map(|c| (0..n).map(|r| x.get(r, c) as f64).collect()).collect();
+    let results = par_map_chunks(d, |c| smooth_column(g, &cols[c], alpha, rmax));
     let mut out = DenseMatrix::zeros(n, d);
-    // Extract columns, push, write back. Column extraction is strided but
-    // happens once per column against d row-major scans.
-    let cols: Vec<Vec<f32>> = (0..d).map(|c| (0..n).map(|r| x.get(r, c)).collect()).collect();
-    let results: Vec<Vec<f64>> = {
-        use std::sync::Mutex;
-        let slots: Vec<Mutex<Vec<f64>>> = (0..d).map(|_| Mutex::new(Vec::new())).collect();
-        sgnn_linalg::par::par_chunks(d, 1, |s, e| {
-            for c in s..e {
-                let (p, _) = feature_push(g, &cols[c], alpha, eps);
-                *slots[c].lock().unwrap() = p;
-            }
-        });
-        slots.into_iter().map(|m| m.into_inner().unwrap()).collect()
-    };
-    for (c, col) in results.iter().enumerate() {
-        for r in 0..n {
-            out.set(r, c, col[r] as f32);
+    let mut stats = PushStats::default();
+    for (c, (p, s)) in results.iter().enumerate() {
+        stats += s;
+        for (r, &v) in p.iter().enumerate() {
+            out.set(r, c, v as f32);
         }
     }
-    out
+    (out, stats)
+}
+
+/// Sequential reference for [`smooth_matrix`]: same per-column kernel,
+/// plain column loop.
+pub fn smooth_matrix_seq(
+    g: &CsrGraph,
+    x: &DenseMatrix,
+    alpha: f64,
+    rmax: f64,
+) -> (DenseMatrix, PushStats) {
+    let n = x.rows();
+    let d = x.cols();
+    assert_eq!(n, g.num_nodes(), "feature rows must match node count");
+    let mut out = DenseMatrix::zeros(n, d);
+    let mut stats = PushStats::default();
+    for c in 0..d {
+        let col: Vec<f64> = (0..n).map(|r| x.get(r, c) as f64).collect();
+        let (p, s) = smooth_column(g, &col, alpha, rmax);
+        stats += &s;
+        for (r, &v) in p.iter().enumerate() {
+            out.set(r, c, v as f32);
+        }
+    }
+    (out, stats)
 }
 
 #[cfg(test)]
@@ -437,46 +567,71 @@ mod tests {
     }
 
     #[test]
-    fn feature_push_on_indicator_matches_forward_push() {
-        let g = generate::erdos_renyi(150, 0.05, false, 3);
-        let mut x = vec![0f32; 150];
-        x[7] = 1.0;
-        let (fp, _) = feature_push(&g, &x, 0.15, 1e-7);
-        let (pp, _) = forward_push(&g, 7, 0.15, 1e-7);
-        for v in 0..150 {
-            assert!((fp[v] - pp[v]).abs() < 1e-4, "node {v}: {} vs {}", fp[v], pp[v]);
-        }
-    }
-
-    #[test]
-    fn feature_push_is_linear_in_input() {
+    fn column_push_is_linear_in_input() {
         let g = generate::erdos_renyi(100, 0.06, false, 5);
         let mut rng = sgnn_linalg::rng::seeded(8);
         let mut a = vec![0f32; 100];
         let mut b = vec![0f32; 100];
         sgnn_linalg::rng::fill_gaussian(&mut rng, &mut a, 0.0, 1.0);
         sgnn_linalg::rng::fill_gaussian(&mut rng, &mut b, 0.0, 1.0);
-        let sum: Vec<f32> = a.iter().zip(b.iter()).map(|(x, y)| x + y).collect();
-        let eps = 1e-9; // tight so linearity holds to test precision
-        let (pa, _) = feature_push(&g, &a, 0.2, eps);
-        let (pb, _) = feature_push(&g, &b, 0.2, eps);
-        let (ps, _) = feature_push(&g, &sum, 0.2, eps);
+        let a: Vec<f64> = a.iter().map(|&v| v as f64).collect();
+        let b: Vec<f64> = b.iter().map(|&v| v as f64).collect();
+        let sum: Vec<f64> = a.iter().zip(b.iter()).map(|(x, y)| x + y).collect();
+        // Each estimate is within rmax of the linear S·x, so the three
+        // differ from linearity by under 3·rmax.
+        let rmax = 1e-9;
+        let (pa, _, _) = smooth_column_push(&g, &a, 0.2, rmax);
+        let (pb, _, _) = smooth_column_push(&g, &b, 0.2, rmax);
+        let (ps, _, _) = smooth_column_push(&g, &sum, 0.2, rmax);
         for v in 0..100 {
-            assert!((pa[v] + pb[v] - ps[v]).abs() < 1e-4);
+            assert!((pa[v] + pb[v] - ps[v]).abs() < 3.0 * rmax, "node {v}");
         }
     }
 
     #[test]
-    fn feature_push_matrix_matches_columnwise() {
-        let g = generate::erdos_renyi(60, 0.08, false, 6);
-        let x = DenseMatrix::gaussian(60, 3, 1.0, 7);
-        let m = feature_push_matrix(&g, &x, 0.2, 1e-8);
-        for c in 0..3 {
-            let col: Vec<f32> = (0..60).map(|r| x.get(r, c)).collect();
-            let (p, _) = feature_push(&g, &col, 0.2, 1e-8);
-            for r in 0..60 {
-                assert!((m.get(r, c) - p[r] as f32).abs() < 1e-5);
+    fn column_push_residuals_all_below_threshold() {
+        let g = generate::barabasi_albert(200, 3, 5);
+        let x: Vec<f64> = (0..200).map(|i| ((i * 37) % 13) as f64 - 6.0).collect();
+        let (_, r, _) = smooth_column_push(&g, &x, 0.15, 1e-3);
+        assert!(r.iter().all(|v| v.abs() < 1e-3));
+    }
+
+    #[test]
+    fn column_push_approximates_exact_within_rmax() {
+        let g = generate::erdos_renyi(150, 0.05, false, 2);
+        let x: Vec<f64> = (0..150).map(|i| (i as f64 * 0.7).sin()).collect();
+        let (exact, _) = smooth_column_exact(&g, &x, 0.2);
+        for rmax in [1e-2, 1e-4] {
+            let (p, _, _) = smooth_column_push(&g, &x, 0.2, rmax);
+            for u in 0..150 {
+                let err = (p[u] - exact[u]).abs();
+                assert!(err < rmax, "node {u}: err {err} ≥ rmax {rmax}");
             }
         }
+    }
+
+    #[test]
+    fn exact_kernel_fixes_the_constant_column() {
+        // S is a convex combination of row-stochastic powers: P·1 = 1 ⇒
+        // S·1 = 1.
+        let g = generate::erdos_renyi(80, 0.08, false, 4);
+        let ones = vec![1f64; 80];
+        let (p, _) = smooth_column_exact(&g, &ones, 0.3);
+        for (u, &v) in p.iter().enumerate() {
+            assert!((v - 1.0).abs() < 1e-9, "node {u}: {v}");
+        }
+    }
+
+    #[test]
+    fn dangling_nodes_keep_their_feature() {
+        // Node 2 is isolated: S acts as the identity on it.
+        let mut b = sgnn_graph::GraphBuilder::new(3).symmetric();
+        b.add_edge(0, 1);
+        let g = b.build().unwrap();
+        let x = vec![0.5f64, -1.0, 2.0];
+        let (exact, _) = smooth_column_exact(&g, &x, 0.15);
+        assert!((exact[2] - 2.0).abs() < 1e-9);
+        let (p, _, _) = smooth_column_push(&g, &x, 0.15, 1e-6);
+        assert!((p[2] - 2.0).abs() < 1e-6);
     }
 }

@@ -4,12 +4,14 @@
 //! to "embedding lookup + cheap MLP" once propagation is precomputed.
 //! This crate is that serving layer (ROADMAP item 1, DESIGN.md §12):
 //!
-//! - [`push`] — the serving smoothing operator `S = Σ α(1−α)^i P^i`
-//!   (row-stochastic `P = D⁻¹A`, dangling rows self-loop), computed
-//!   either by SCARA-style feature-oriented push with residual
-//!   threshold `rmax` (column-parallel, bitwise thread-invariant) or
-//!   exactly for `rmax = 0`. The documented approximation contract is
-//!   an entrywise bound: `|cached − exact| < rmax`.
+//! - [`push`] — per-node rows of the smoothing operator
+//!   `S = Σ α(1−α)^i P^i` (row-stochastic `P = D⁻¹A`, dangling rows
+//!   self-loop), plus a re-export of `sgnn-prop`'s column kernels, the
+//!   one implementation of `S·X` that decoupled training uses too:
+//!   SCARA-style feature-oriented push with residual threshold `rmax`
+//!   (column-parallel, bitwise thread-invariant) or exact for
+//!   `rmax = 0`. The documented approximation contract is an entrywise
+//!   bound: `|cached − exact| < rmax`.
 //! - [`store`] — the decoupled embedding store the precompute feeds:
 //!   all rows (`Full`), only hot high-degree rows (`Hot`), or nothing
 //!   (`None` — everything on demand).
@@ -53,6 +55,6 @@ pub use plan::{PlannerConfig, QueryPlanner, RowState, Strategy};
 pub use pressure::{BreakerConfig, CircuitBreaker, OverloadConfig, Pressure, PressureConfig};
 pub use push::{
     fresh_row, fresh_row_into, smooth_column, smooth_column_exact, smooth_column_push,
-    smooth_matrix, smooth_matrix_seq, ServePushStats,
+    smooth_matrix, smooth_matrix_seq,
 };
 pub use store::{EmbeddingStore, PrecomputePolicy};

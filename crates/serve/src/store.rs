@@ -1,25 +1,30 @@
 //! Decoupled embedding store — the precompute target.
 //!
 //! `Full` materializes every row of `S·X` with the column-parallel push
-//! ([`crate::push::smooth_matrix`], SCARA's feature-oriented layout).
+//! ([`sgnn_prop::smooth_matrix`], SCARA's feature-oriented layout).
 //! `Hot` precomputes only the top-degree rows via the *per-node* path
 //! ([`crate::push::fresh_row`]) at the planner's `FullProp` tolerance —
 //! deliberately the same function the engine uses on demand, so a
 //! store-backed answer and a freshly computed `FullProp` answer for the
 //! same node are bitwise identical (DESIGN.md §12). `None` precomputes
 //! nothing and leaves every request to the planner/cache.
-
+//!
+//! The store holds only its present rows, compacted into one
+//! `rows × d` matrix; a per-node slot index maps a node to its row
+//! (the identity for `Full`, absent for most nodes under `Hot`).
+//!
 //! Every present row is CRC-32 checksummed at build time
 //! ([`EmbeddingStore::verify`]); the engine verifies reads only when a
 //! fault plan is armed and rebuilds a corrupted row with the same push
 //! kernel that built it — for `Hot` stores the repaired row is bitwise
 //! the original (DESIGN.md §13).
 
-use crate::push::{fresh_row, smooth_matrix, ServePushStats};
+use crate::push::fresh_row;
 use sgnn_fault::crc::crc32_f32s;
 use sgnn_graph::{CsrGraph, NodeId};
 use sgnn_linalg::par::par_map_chunks;
 use sgnn_linalg::DenseMatrix;
+use sgnn_prop::{smooth_matrix, PushStats};
 
 static PRECOMPUTE_NS: sgnn_obs::Histogram = sgnn_obs::Histogram::new("serve.precompute.ns");
 static STORE_ROWS: sgnn_obs::Counter = sgnn_obs::Counter::new("serve.store.rows");
@@ -47,14 +52,19 @@ pub enum PrecomputePolicy {
     None,
 }
 
+/// Slot of a node the policy did not precompute.
+const ABSENT: u32 = u32::MAX;
+
 /// Precomputed embedding rows, present for a policy-dependent node set.
 #[derive(Debug, Clone)]
 pub struct EmbeddingStore {
+    /// The present rows only, in slot order.
     emb: DenseMatrix,
-    present: Vec<bool>,
+    /// Row of `emb` holding node `u`, or [`ABSENT`]; empty for `None`.
+    slot: Vec<u32>,
+    /// CRC-32 of each row of `emb`.
     crcs: Vec<u32>,
-    rows_built: usize,
-    push_stats: ServePushStats,
+    push_stats: PushStats,
 }
 
 impl EmbeddingStore {
@@ -63,10 +73,10 @@ impl EmbeddingStore {
         let _t = PRECOMPUTE_NS.time();
         let n = g.num_nodes();
         let d = x.cols();
-        let (emb, present, stats) = match policy {
+        let (emb, slot, stats) = match policy {
             PrecomputePolicy::Full { rmax } => {
                 let (emb, stats) = smooth_matrix(g, x, alpha, *rmax);
-                (emb, vec![true; n], stats)
+                (emb, (0..n as u32).collect(), stats)
             }
             PrecomputePolicy::Hot { count, eps } => {
                 let mut by_degree: Vec<NodeId> = (0..n as NodeId).collect();
@@ -74,71 +84,60 @@ impl EmbeddingStore {
                 by_degree.truncate(*count);
                 let rows =
                     par_map_chunks(by_degree.len(), |i| fresh_row(g, x, by_degree[i], alpha, *eps));
-                let mut emb = DenseMatrix::zeros(n, d);
-                let mut present = vec![false; n];
-                for (u, row) in by_degree.iter().zip(rows.iter()) {
-                    present[*u as usize] = true;
-                    emb.row_mut(*u as usize).copy_from_slice(row);
+                let mut slot = vec![ABSENT; n];
+                for (i, &u) in by_degree.iter().enumerate() {
+                    slot[u as usize] = i as u32;
                 }
-                (emb, present, ServePushStats::default())
+                (DenseMatrix::from_vec(rows.len(), d, rows.concat()), slot, PushStats::default())
             }
-            PrecomputePolicy::None => {
-                (DenseMatrix::zeros(0, d), vec![false; n], ServePushStats::default())
-            }
+            PrecomputePolicy::None => (DenseMatrix::zeros(0, d), Vec::new(), PushStats::default()),
         };
-        let rows_built = present.iter().filter(|&&p| p).count();
-        STORE_ROWS.add(rows_built as u64);
-        let crcs = present
-            .iter()
-            .enumerate()
-            .map(|(u, &p)| if p { crc32_f32s(emb.row(u)) } else { 0 })
-            .collect();
-        EmbeddingStore { emb, present, crcs, rows_built, push_stats: stats }
+        STORE_ROWS.add(emb.rows() as u64);
+        let crcs = (0..emb.rows()).map(|s| crc32_f32s(emb.row(s))).collect();
+        EmbeddingStore { emb, slot, crcs, push_stats: stats }
+    }
+
+    /// Row of `emb` holding `u`, if the policy covered it.
+    fn slot_of(&self, u: NodeId) -> Option<usize> {
+        match self.slot.get(u as usize) {
+            Some(&s) if s != ABSENT => Some(s as usize),
+            _ => None,
+        }
     }
 
     /// The precomputed row for `u`, if the policy covered it.
     pub fn get(&self, u: NodeId) -> Option<&[f32]> {
-        if *self.present.get(u as usize)? {
-            Some(self.emb.row(u as usize))
-        } else {
-            None
-        }
+        self.slot_of(u).map(|s| self.emb.row(s))
     }
 
     /// True when the stored bits of `u` still match the CRC recorded at
     /// build (or repair) time. Absent rows verify trivially.
     pub fn verify(&self, u: NodeId) -> bool {
-        match self.present.get(u as usize) {
-            Some(true) => crc32_f32s(self.emb.row(u as usize)) == self.crcs[u as usize],
-            _ => true,
-        }
+        self.slot_of(u).is_none_or(|s| crc32_f32s(self.emb.row(s)) == self.crcs[s])
     }
 
     /// Mutable access to a present row — the fault-injection surface
     /// the engine uses to corrupt a row "at rest".
     pub(crate) fn row_mut(&mut self, u: NodeId) -> Option<&mut [f32]> {
-        if *self.present.get(u as usize)? {
-            Some(self.emb.row_mut(u as usize))
-        } else {
-            None
-        }
+        self.slot_of(u).map(|s| self.emb.row_mut(s))
     }
 
     /// Overwrites a present row with freshly rebuilt bits and re-seals
     /// its CRC.
     pub(crate) fn repair(&mut self, u: NodeId, row: &[f32]) {
-        self.emb.row_mut(u as usize).copy_from_slice(row);
-        self.crcs[u as usize] = crc32_f32s(row);
+        let s = self.slot_of(u).expect("only a present row is repaired");
+        self.emb.row_mut(s).copy_from_slice(row);
+        self.crcs[s] = crc32_f32s(row);
     }
 
     /// Number of rows materialized at build time.
     pub fn rows_built(&self) -> usize {
-        self.rows_built
+        self.emb.rows()
     }
 
     /// Push work done at build time (zero for `Hot`/`None`, whose work
     /// is per-node and accounted by the prop-push counters).
-    pub fn push_stats(&self) -> &ServePushStats {
+    pub fn push_stats(&self) -> &PushStats {
         &self.push_stats
     }
 }

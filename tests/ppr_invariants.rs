@@ -20,13 +20,18 @@
 //!   (`p`, `r`, `PushStats`), `fresh_row_into` equals the dense
 //!   ascending-scan accumulation bitwise, and the workspace is all zero
 //!   after every call.
+//!
+//! A source outside the graph gets an all-zero answer from every PPR
+//! leaf (push, FORA, Monte Carlo) instead of an index panic.
 
 use proptest::prelude::*;
 use sgnn::graph::reorder::{compute_order, relabel, Reordering};
 use sgnn::graph::{generate, CsrGraph, GraphBuilder, NodeId};
 use sgnn::linalg::DenseMatrix;
+use sgnn::prop::fora::fora_ppr;
+use sgnn::prop::mc::ppr_monte_carlo;
 use sgnn::prop::push::{forward_push_residuals, ppr_power};
-use sgnn::prop::{forward_push, PushWorkspace};
+use sgnn::prop::{forward_push, PushStats, PushWorkspace};
 use sgnn::serve::{fresh_row_into, smooth_column_exact, smooth_column_push};
 
 /// Permutes a feature column alongside `relabel`'s `old → new` map.
@@ -307,5 +312,31 @@ fn relabel_round_trip_is_bitwise() {
     // The double relabel composes to the identity.
     for old in 0..180usize {
         assert_eq!(back_map[new_of_old[old] as usize] as usize, old);
+    }
+}
+
+/// Every PPR leaf answers a source outside the graph with the all-zero
+/// vector (and the push with zero work) — the same answer the serving
+/// engine gives a bad id at its `Shed` tier.
+#[test]
+fn ppr_leaves_answer_zero_for_a_source_outside_the_graph() {
+    type Leaf = fn(&CsrGraph, NodeId) -> Vec<f64>;
+    let leaves: [(&str, Leaf); 3] = [
+        ("forward_push", |g, s| {
+            let (p, stats) = forward_push(g, s, 0.15, 1e-4);
+            assert_eq!(stats, PushStats::default(), "forward_push did work for source {s}");
+            p
+        }),
+        ("fora_ppr", |g, s| fora_ppr(g, s, 0.15, 1e-4, 100.0, 1)),
+        ("ppr_monte_carlo", |g, s| ppr_monte_carlo(g, s, 0.15, 100, 1)),
+    ];
+    let empty = GraphBuilder::new(0).build().unwrap();
+    let path = GraphBuilder::new(5).edges(&[(0, 1), (1, 2), (2, 3), (3, 4)]).build().unwrap();
+    for (g, source) in [(&empty, 0), (&path, 5)] {
+        for (name, leaf) in leaves {
+            let p = leaf(g, source);
+            assert_eq!(p.len(), g.num_nodes(), "{name}, n = {}", g.num_nodes());
+            assert!(p.iter().all(|&v| v == 0.0), "{name}: nonzero mass for source {source}");
+        }
     }
 }

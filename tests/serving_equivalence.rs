@@ -14,12 +14,17 @@
 //! - replay counters (cache hits/misses/evictions, planner decisions)
 //!   are reproducible run-to-run and across `SGNN_THREADS=1/2`;
 //! - the `F32` quantization mode of the serving head is bitwise-equal
-//!   to the training-time forward.
+//!   to the training-time forward;
+//! - a head trained on the SCARA precompute is served, through a `Full`
+//!   store at the same `(alpha, rmax)`, its training logits bit for bit.
 //!
 //! CI runs this file under an `SGNN_THREADS=1` / `SGNN_THREADS=2`
 //! matrix so the ambient-thread proptests cover both regimes.
 
 use proptest::prelude::*;
+use sgnn::core::models::decoupled::PrecomputeMethod;
+use sgnn::core::trainer::{train_decoupled, TrainConfig};
+use sgnn::data::sbm_dataset;
 use sgnn::graph::{generate, NodeId};
 use sgnn::linalg::par::set_threads;
 use sgnn::linalg::{DenseMatrix, QuantMode};
@@ -217,4 +222,27 @@ fn eviction_counters_replay_exactly() {
     assert!(stats_a.cache_evictions > 0, "working set must overflow the 4-row cache");
     assert_eq!(stats_a, stats_b);
     assert_eq!(bits_a, bits_b);
+}
+
+/// Training and serving share one smoothing operator: a head trained
+/// through `PrecomputeMethod::Scara` and served from a `Full` store at
+/// the same `(alpha, rmax)` answers every node with exactly the logits
+/// the trained model computes — the store runs the kernel the
+/// precompute ran.
+#[test]
+fn scara_trained_head_serves_its_training_logits_bitwise() {
+    let ds = sbm_dataset(300, 3, 8.0, 0.85, 6, 0.5, 0, 0.5, 0.25, 13);
+    let (alpha, rmax) = (0.15, 1e-4);
+    let cfg = TrainConfig { epochs: 5, hidden: vec![8], ..Default::default() };
+    let (model, _) = train_decoupled(&ds, &PrecomputeMethod::Scara { alpha, rmax }, &cfg).unwrap();
+    let serve_cfg = ServeConfig {
+        alpha,
+        policy: PrecomputePolicy::Full { rmax },
+        quant: QuantMode::F32,
+        ..Default::default()
+    };
+    let mut e =
+        ServeEngine::new(ds.graph.clone(), ds.features.clone(), model.mlp.clone(), serve_cfg);
+    let nodes: Vec<NodeId> = (0..ds.graph.num_nodes() as NodeId).collect();
+    assert_eq!(bits(&e.serve_batch(&nodes)), bits(&model.logits_for(&nodes)));
 }
