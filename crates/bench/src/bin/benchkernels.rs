@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! cargo run --release -p sgnn-bench --bin benchkernels                 # bench_out/BENCH_kernels.json
-//! cargo run --release -p sgnn-bench --features simd --bin benchkernels # AVX2/NEON kernels
 //! cargo run --release -p sgnn-bench --bin benchkernels -- --quick      # small workload (CI smoke)
 //! cargo run --release -p sgnn-bench --bin benchkernels -- --json      # + ObsReport line on stdout
 //! cargo run --release -p sgnn-bench --bin benchkernels -- out.json
@@ -16,18 +15,18 @@
 //! is bandwidth- or compute-bound, the `simd_backend` field says which
 //! lane width produced the numbers, and the quantized rows show the gather
 //! bytes int8/f16 payloads save. Before timing, the bitwise contract
-//! (blocked ≡ balanced) and the quantization tolerance are asserted on the
-//! bench workload itself.
+//! (`spmm_into` ≡ `spmm_blocked_into` at a fixed non-auto tile) and the
+//! quantization tolerance are asserted on the bench workload itself.
 //!
 //! With `--json`, observability stays enabled for the timed phase and a
 //! final line with the single-line [`sgnn_obs::ObsReport`] snapshot is
 //! printed to stdout. Kernel timings then include the (small)
 //! enabled-path overhead; leave the flag off when recording baselines.
 
-use sgnn_bench::kernel_baseline::{scoped_chunks, spmm_rowcount};
+use sgnn_bench::kernel_baseline::scoped_chunks;
 use sgnn_graph::blocked::{spmm_blocked_into, spmm_quant_into, BlockSpec};
 use sgnn_graph::normalize::{normalized_adjacency, NormKind};
-use sgnn_graph::spmm::{spmm_bytes, spmm_flops, spmm_into, spmv};
+use sgnn_graph::spmm::{spmm_into, spmv};
 use sgnn_graph::{generate, CsrGraph};
 use sgnn_linalg::par::{num_threads, par_chunks, set_threads};
 use sgnn_linalg::quant::{qmatmul_bytes, qmatmul_into, QuantMatrix};
@@ -177,13 +176,14 @@ fn main() {
     let mut y = DenseMatrix::zeros(n, d);
     let mut yb = DenseMatrix::zeros(n, d);
 
-    // Contract check 1: blocked must be bitwise-identical to balanced.
+    // Contract check 1: spmm_into (auto tiles) must be bitwise-identical
+    // to the same body at a fixed non-auto tile.
     spmm_into(&a, &x, &mut y);
-    spmm_blocked_into(&a, &x, &mut yb, spec);
+    spmm_blocked_into(&a, &x, &mut yb, BlockSpec { row_block: 32, col_block: 8 });
     assert_eq!(
         y.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         yb.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "blocked SpMM diverged from spmm_into — bitwise contract broken"
+        "spmm_into diverged from spmm_blocked_into — bitwise contract broken"
     );
 
     // Contract check 2: quantized aggregation stays inside tolerance
@@ -200,27 +200,13 @@ fn main() {
 
     // Roofline attribution: counters from one observed call per variant.
     let (fl_spmm, by_spmm) = attribute("linalg.spmm", false, || spmm_into(&a, &x, &mut y));
-    let (fl_blk, by_blk) =
-        attribute("linalg.spmm_blocked", false, || spmm_blocked_into(&a, &x, &mut yb, spec));
     let (fl_q8, by_q8) =
         attribute("linalg.spmm_quant", false, || spmm_quant_into(&a, &xq8, &mut yq, spec));
     let (fl_q16, by_q16) =
         attribute("linalg.spmm_quant", obs_json, || spmm_quant_into(&a, &xq16, &mut yq, spec));
 
     let spmm_rounds = if quick { 7 } else { 15 };
-    let (balanced, rowcount) = time_interleaved(
-        spmm_rounds,
-        || spmm_into(black_box(&a), black_box(&x), &mut y),
-        || {
-            black_box(spmm_rowcount(black_box(&a), black_box(&x)));
-        },
-    );
-    let (blocked, balanced2) = time_interleaved(
-        spmm_rounds,
-        || spmm_blocked_into(black_box(&a), black_box(&x), &mut yb, spec),
-        || spmm_into(black_box(&a), black_box(&x), &mut y),
-    );
-    let balanced_best = balanced.min(balanced2);
+    let balanced = time_median(spmm_rounds, || spmm_into(black_box(&a), black_box(&x), &mut y));
     let mut yq2 = DenseMatrix::zeros(n, d);
     let (quant_i8, quant_f16) = time_interleaved(
         spmm_rounds,
@@ -229,16 +215,7 @@ fn main() {
     );
 
     let mut kernels: Vec<Kernel> = vec![
-        Kernel { name: "spmm_balanced", seconds: balanced_best, flops: fl_spmm, bytes: by_spmm },
-        Kernel { name: "spmm_blocked", seconds: blocked, flops: fl_blk, bytes: by_blk },
-        // The rowcount baseline has no counters of its own; it performs the
-        // same analytic work as the balanced kernel.
-        Kernel {
-            name: "spmm_rowcount",
-            seconds: rowcount,
-            flops: spmm_flops(&a, d),
-            bytes: spmm_bytes(&a, d),
-        },
+        Kernel { name: "spmm_balanced", seconds: balanced, flops: fl_spmm, bytes: by_spmm },
         Kernel { name: "spmm_quant_int8", seconds: quant_i8, flops: fl_q8, bytes: by_q8 },
         Kernel { name: "spmm_quant_f16", seconds: quant_f16, flops: fl_q16, bytes: by_q16 },
     ];
@@ -282,8 +259,6 @@ fn main() {
     });
 
     // --- Report. ---
-    let spmm_speedup = rowcount / balanced;
-    let blocked_speedup = balanced_best / blocked;
     let dispatch_speedup = scoped2 / pooled2;
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"threads\": {threads},\n"));
@@ -311,8 +286,6 @@ fn main() {
     json.push_str("  },\n");
     json.push_str(&format!("  \"quant_max_abs_err_int8\": {err_i8:.6},\n"));
     json.push_str(&format!("  \"quant_max_abs_err_f16\": {err_f16:.6},\n"));
-    json.push_str(&format!("  \"spmm_speedup_vs_rowcount\": {spmm_speedup:.3},\n"));
-    json.push_str(&format!("  \"spmm_blocked_speedup_vs_balanced\": {blocked_speedup:.3},\n"));
     json.push_str(&format!("  \"dispatch_speedup_vs_scoped\": {dispatch_speedup:.3}\n"));
     json.push_str("}\n");
 

@@ -1,8 +1,10 @@
-//! 2-D cache-blocked SpMM with register-tiled inner kernels.
+//! The tiled SpMM body: the one f32 aggregation kernel behind
+//! [`spmm_into`](crate::spmm::spmm_into), and its quantized inference twin.
 //!
-//! [`spmm_into`](crate::spmm::spmm_into) streams each destination row's
-//! full feature width per edge, reloading the output row from memory on
-//! every axpy. This module tiles the product two ways:
+//! `spmm_into` runs every feature width d ≥ 5 through this module's
+//! register-gather body with [`BlockSpec::auto`] tiles;
+//! [`spmm_blocked_into`] is the same body with caller-chosen tiles. The
+//! product is tiled two ways:
 //!
 //! - **Feature columns** are processed in windows of
 //!   [`BlockSpec::col_block`] entries so the
@@ -15,23 +17,22 @@
 //!   ordering from [`crate::reorder`] clusters those sources further.
 //!
 //! Per feature column the accumulation chain (first edge initializes,
-//! later edges add, CSR order) is exactly the one `spmm_into` produces, so
+//! later edges add, CSR order) does not depend on the tiles, so
 //! [`spmm_blocked_into`] is **bitwise identical** to `spmm_into` for every
-//! block size and thread count — DESIGN.md §9. Feature widths ≤ 4 delegate
-//! to `spmm_into`'s register micro-kernels outright (blocking cannot split
-//! them and their accumulate-from-zero order differs on `-0.0`).
+//! block size and thread count — DESIGN.md §9. Feature widths ≤ 4
+//! delegate to `spmm_into`'s register micro-kernels outright (blocking
+//! cannot split them and their accumulate-from-zero order differs on
+//! `-0.0`).
 //!
 //! [`spmm_quant_into`] is the inference-only quantized twin: it gathers
-//! int8/f16 payloads (4×/2× fewer bytes per edge) and accumulates in f32;
-//! its error tolerance is documented in DESIGN.md §9 and pinned by tests.
+//! int8/f16 payloads (4×/2× fewer bytes per edge) over the same tiles and
+//! accumulates in f32; its error tolerance is documented in DESIGN.md §9
+//! and pinned by tests.
 
 use crate::csr::CsrGraph;
+use crate::spmm::{spmm_bytes, spmm_flops, MIN_PAR_WORK};
 use sgnn_linalg::quant::{QuantMatrix, QuantPayload};
 use sgnn_linalg::{par, simd, DenseMatrix};
-
-/// Minimum scalar multiply-adds that justify engaging the worker pool
-/// (same threshold as `spmm_into`).
-const MIN_PAR_WORK: usize = 1 << 16;
 
 static BLOCKED_CALLS: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_blocked.calls");
 static BLOCKED_FLOPS: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_blocked.flops");
@@ -68,8 +69,8 @@ impl BlockSpec {
     }
 }
 
-/// `Y = A · X`, bitwise identical to [`crate::spmm::spmm_into`] for every
-/// `spec`, overwriting `y`.
+/// `Y = A · X` with explicit tiles, bitwise identical to
+/// [`crate::spmm::spmm_into`] for every `spec`, overwriting `y`.
 pub fn spmm_blocked_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix, spec: BlockSpec) {
     assert_eq!(x.rows(), g.num_nodes(), "feature rows must equal node count");
     assert_eq!(
@@ -91,49 +92,57 @@ pub fn spmm_blocked_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix, spe
     }
     let _sp = sgnn_obs::span!("linalg.spmm_blocked");
     BLOCKED_CALLS.incr();
-    BLOCKED_FLOPS.add(crate::spmm::spmm_flops(g, d));
-    BLOCKED_BYTES.add(crate::spmm::spmm_bytes(g, d));
-    let indptr = g.indptr();
+    BLOCKED_FLOPS.add(spmm_flops(g, d));
+    BLOCKED_BYTES.add(spmm_bytes(g, d));
+    gather_into(g, x, y, spec);
+}
+
+/// The register-gather body shared by `spmm_into` (d ≥ 5, auto tiles)
+/// and [`spmm_blocked_into`]: no checks, no counters.
+pub(crate) fn gather_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix, spec: BlockSpec) {
+    let d = x.cols();
     let indices = g.indices();
-    let weights = g.weights();
     let xd = x.data();
+    match g.weights() {
+        None => for_each_window(g, d, y.data_mut(), spec, |out, lo, hi, c0| {
+            simd::row_gather_unweighted(out, xd, d, c0, &indices[lo..hi])
+        }),
+        Some(ws) => for_each_window(g, d, y.data_mut(), spec, |out, lo, hi, c0| {
+            simd::row_gather_weighted(out, xd, d, c0, &indices[lo..hi], &ws[lo..hi])
+        }),
+    }
+}
+
+/// Walks the `d`-wide rows of `y` in `spec` tiles — nnz-balanced row
+/// chunks across the pool, then row tiles × column windows inside each
+/// chunk — and calls `window(out, lo, hi, c0)` for every row with edges
+/// `lo..hi`, `out` being its window starting at column `c0`. Rows without
+/// edges are zero-filled.
+fn for_each_window<F>(g: &CsrGraph, d: usize, y: &mut [f32], spec: BlockSpec, window: F)
+where
+    F: Fn(&mut [f32], usize, usize, usize) + Sync,
+{
+    let indptr = g.indptr();
     let min_weight = (MIN_PAR_WORK / d).max(1);
-    par::par_balanced_rows_mut(y.data_mut(), d, indptr, min_weight, |first_row, chunk| {
+    par::par_balanced_rows_mut(y, d, indptr, min_weight, |first_row, chunk| {
         let rows = chunk.len() / d;
-        let mut r0 = 0;
-        while r0 < rows {
+        for r0 in (0..rows).step_by(spec.row_block) {
             let r1 = (r0 + spec.row_block).min(rows);
-            let mut c0 = 0;
-            while c0 < d {
+            for c0 in (0..d).step_by(spec.col_block) {
                 let tw = spec.col_block.min(d - c0);
                 for local in r0..r1 {
                     let u = first_row + local;
                     let (lo, hi) = (indptr[u], indptr[u + 1]);
-                    let out = &mut chunk[local * d + c0..local * d + c0 + tw];
+                    let out = &mut chunk[local * d + c0..][..tw];
                     if lo == hi {
                         out.fill(0.0);
-                        continue;
-                    }
-                    match weights {
-                        None => simd::row_gather_unweighted(out, xd, d, c0, &indices[lo..hi]),
-                        Some(ws) => {
-                            simd::row_gather_weighted(out, xd, d, c0, &indices[lo..hi], &ws[lo..hi])
-                        }
+                    } else {
+                        window(out, lo, hi, c0);
                     }
                 }
-                c0 += tw;
             }
-            r0 = r1;
         }
     });
-}
-
-/// Allocating convenience wrapper around [`spmm_blocked_into`] with
-/// [`BlockSpec::auto`] geometry.
-pub fn spmm_blocked(g: &CsrGraph, x: &DenseMatrix) -> DenseMatrix {
-    let mut y = DenseMatrix::zeros(g.num_nodes(), x.cols());
-    spmm_blocked_into(g, x, &mut y, BlockSpec::auto(g, x.cols()));
-    y
 }
 
 /// `Y = A · Xq` over quantized features — the inference-only serving
@@ -153,45 +162,21 @@ pub fn spmm_quant_into(g: &CsrGraph, xq: &QuantMatrix, y: &mut DenseMatrix, spec
     }
     let _sp = sgnn_obs::span!("linalg.spmm_quant");
     QUANT_CALLS.incr();
-    QUANT_FLOPS.add(crate::spmm::spmm_flops(g, d) + g.num_edges() as u64 * d as u64);
+    QUANT_FLOPS.add(spmm_flops(g, d) + g.num_edges() as u64 * d as u64);
     QUANT_BYTES.add(spmm_quant_bytes(g, xq));
-    let indptr = g.indptr();
     let indices = g.indices();
     let weights = g.weights();
     let scales = xq.scales();
-    let min_weight = (MIN_PAR_WORK / d).max(1);
-    par::par_balanced_rows_mut(y.data_mut(), d, indptr, min_weight, |first_row, chunk| {
-        let rows = chunk.len() / d;
-        let mut r0 = 0;
-        while r0 < rows {
-            let r1 = (r0 + spec.row_block).min(rows);
-            let mut c0 = 0;
-            while c0 < d {
-                let tw = spec.col_block.min(d - c0);
-                for local in r0..r1 {
-                    let u = first_row + local;
-                    let (lo, hi) = (indptr[u], indptr[u + 1]);
-                    let out = &mut chunk[local * d + c0..local * d + c0 + tw];
-                    if lo == hi {
-                        out.fill(0.0);
-                        continue;
-                    }
-                    let idx = &indices[lo..hi];
-                    let ws = weights.map(|w| &w[lo..hi]);
-                    match xq.payload() {
-                        QuantPayload::I8(q) => {
-                            simd::row_gather_q_i8(out, q, scales, d, c0, idx, ws)
-                        }
-                        QuantPayload::F16(h) => {
-                            simd::row_gather_q_f16(out, h, scales, d, c0, idx, ws)
-                        }
-                    }
-                }
-                c0 += tw;
-            }
-            r0 = r1;
-        }
-    });
+    match xq.payload() {
+        QuantPayload::I8(q) => for_each_window(g, d, y.data_mut(), spec, |out, lo, hi, c0| {
+            let ws = weights.map(|w| &w[lo..hi]);
+            simd::row_gather_q_i8(out, q, scales, d, c0, &indices[lo..hi], ws)
+        }),
+        QuantPayload::F16(h) => for_each_window(g, d, y.data_mut(), spec, |out, lo, hi, c0| {
+            let ws = weights.map(|w| &w[lo..hi]);
+            simd::row_gather_q_f16(out, h, scales, d, c0, &indices[lo..hi], ws)
+        }),
+    }
 }
 
 /// Analytic compulsory traffic for [`spmm_quant_into`]: quantized payload

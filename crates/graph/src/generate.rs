@@ -71,18 +71,21 @@ fn unrank_pair(idx: u64, n: u64, directed: bool) -> (u64, u64) {
         }
         (u, v)
     } else {
-        // Find row u such that idx falls in the u-th triangle slab.
-        // Row u (0-based) has (n-1-u) entries.
-        let mut u = 0u64;
-        let mut rem = idx;
-        loop {
-            let row = n - 1 - u;
-            if rem < row {
-                return (u, u + 1 + rem);
-            }
-            rem -= row;
+        // Row u (0-based) holds the n-1-u pairs (u, u+1..n), so the rows
+        // before it hold start(u) = u·(2n-u-1)/2 (an exact division).
+        // Estimate u from that quadratic, then settle it in integers: O(1)
+        // per pair instead of a walk over every earlier row.
+        let start = |u: u64| u * (2 * n - u - 1) / 2;
+        let b = (2 * n - 1) as f64;
+        let mut u = ((b - (b * b - 8.0 * idx as f64).max(0.0).sqrt()) / 2.0) as u64;
+        u = u.min(n.saturating_sub(2));
+        while u > 0 && start(u) > idx {
+            u -= 1;
+        }
+        while u + 2 < n && start(u + 1) <= idx {
             u += 1;
         }
+        (u, u + 1 + idx - start(u))
     }
 }
 
@@ -360,6 +363,30 @@ mod tests {
             assert!(seen.insert((u, v)));
         }
         assert_eq!(seen.len() as u64, total);
+    }
+
+    #[test]
+    fn unrank_pair_matches_the_row_walk() {
+        // Reference: walk the rows of the upper triangle one by one.
+        let walk = |idx: u64, n: u64| {
+            let (mut u, mut rem) = (0u64, idx);
+            while rem >= n - 1 - u {
+                rem -= n - 1 - u;
+                u += 1;
+            }
+            (u, u + 1 + rem)
+        };
+        for n in 2..80u64 {
+            for idx in 0..n * (n - 1) / 2 {
+                assert_eq!(unrank_pair(idx, n, false), walk(idx, n), "n={n} idx={idx}");
+            }
+        }
+        let n = 6250u64;
+        let total = n * (n - 1) / 2;
+        let mut rng = sgnn_linalg::rng::seeded(3);
+        for idx in (0..2000).map(|_| rng.random_range(0..total)).chain([0, total - 1]) {
+            assert_eq!(unrank_pair(idx, n, false), walk(idx, n), "n={n} idx={idx}");
+        }
     }
 
     #[test]

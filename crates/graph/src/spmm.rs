@@ -3,10 +3,11 @@
 //! `spmm` computes `Y = A · X` for a (weighted) CSR `A` and a row-major
 //! dense `X`. Work is partitioned across the worker pool by **nnz**, not by
 //! row count: chunk boundaries come from a binary search on `indptr`, so a
-//! power-law hub and a thousand leaves cost their workers the same. Inner
-//! loops are specialized twice — weighted vs unweighted (the weight lookup
-//! is hoisted out of the edge loop entirely) and register-accumulated
-//! micro-kernels for feature widths ≤ 4.
+//! power-law hub and a thousand leaves cost their workers the same. There
+//! is one body per width class: feature widths ≤ 4 run register-accumulated
+//! micro-kernels (weighted and unweighted, the weight lookup hoisted out of
+//! the edge loop), and every wider product runs the tiled register-gather
+//! body of [`crate::blocked`] with [`BlockSpec::auto`] tiles.
 //!
 //! [`spmm_into`] writes into a caller-owned matrix so steady-state training
 //! loops can reuse one scratch buffer across epochs; [`spmm`] is the
@@ -14,6 +15,7 @@
 //! [`MatVecF64`](sgnn_linalg::eigen::MatVecF64) trait for the eigensolvers
 //! and implicit-GNN equilibrium solvers.
 
+use crate::blocked::{gather_into, BlockSpec};
 use crate::csr::CsrGraph;
 use sgnn_linalg::eigen::MatVecF64;
 use sgnn_linalg::par;
@@ -21,7 +23,7 @@ use sgnn_linalg::DenseMatrix;
 
 /// Minimum scalar multiply-adds that justify engaging the worker pool;
 /// below this the kernels run inline on the calling thread.
-const MIN_PAR_WORK: usize = 1 << 16;
+pub(crate) const MIN_PAR_WORK: usize = 1 << 16;
 
 // Observability: nnz processed is the device-independent work measure the
 // experiments report; calls × chunk counters (in `linalg.pool.*`) give the
@@ -69,6 +71,10 @@ pub fn spmm_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix) {
     SPMM_NNZ.add(g.num_edges() as u64);
     SPMM_FLOPS.add(spmm_flops(g, d));
     SPMM_BYTES.add(spmm_bytes(g, d));
+    if d > 4 {
+        gather_into(g, x, y, BlockSpec::auto(g, d));
+        return;
+    }
     let indptr = g.indptr();
     let indices = g.indices();
     let weights = g.weights();
@@ -77,18 +83,16 @@ pub fn spmm_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix) {
     let min_weight = (MIN_PAR_WORK / d).max(1);
     par::par_balanced_rows_mut(y.data_mut(), d, indptr, min_weight, |first_row, chunk| {
         // One dispatch per chunk: the weighted/unweighted branch and the
-        // feature-width branch never reach the per-edge loop.
+        // feature-width branch (1 ≤ d ≤ 4 here) never reach the edge loop.
         match (weights, d) {
             (None, 1) => rows_unweighted_small::<1>(indptr, indices, xd, first_row, chunk),
             (None, 2) => rows_unweighted_small::<2>(indptr, indices, xd, first_row, chunk),
             (None, 3) => rows_unweighted_small::<3>(indptr, indices, xd, first_row, chunk),
-            (None, 4) => rows_unweighted_small::<4>(indptr, indices, xd, first_row, chunk),
-            (None, _) => rows_unweighted(indptr, indices, xd, d, first_row, chunk),
+            (None, _) => rows_unweighted_small::<4>(indptr, indices, xd, first_row, chunk),
             (Some(ws), 1) => rows_weighted_small::<1>(indptr, indices, ws, xd, first_row, chunk),
             (Some(ws), 2) => rows_weighted_small::<2>(indptr, indices, ws, xd, first_row, chunk),
             (Some(ws), 3) => rows_weighted_small::<3>(indptr, indices, ws, xd, first_row, chunk),
-            (Some(ws), 4) => rows_weighted_small::<4>(indptr, indices, ws, xd, first_row, chunk),
-            (Some(ws), _) => rows_weighted(indptr, indices, ws, xd, d, first_row, chunk),
+            (Some(ws), _) => rows_weighted_small::<4>(indptr, indices, ws, xd, first_row, chunk),
         }
     });
 }
@@ -139,98 +143,6 @@ fn rows_weighted_small<const D: usize>(
             }
         }
         out.copy_from_slice(&acc);
-    }
-}
-
-/// How many edges ahead the general-width kernels prefetch their source
-/// row. Source rows are gathered at random from a feature matrix much
-/// larger than cache, so each edge is a DRAM-latency stall without this.
-const PREFETCH_AHEAD: usize = 8;
-
-/// Hints the cache to start loading the source row for edge `e`, if it
-/// exists. No-op on non-x86 targets.
-#[inline(always)]
-fn prefetch_src(indices: &[u32], xd: &[f32], d: usize, e: usize, hi: usize) {
-    if e < hi {
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let p = xd.as_ptr().add(indices[e] as usize * d) as *const i8;
-            // Touch every cache line the row spans (64 B = 16 f32 each).
-            let lines = d.div_ceil(16);
-            for l in 0..lines {
-                _mm_prefetch(p.add(l * 64), _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (indices, xd, d, e, hi);
-        }
-    }
-}
-
-/// General-width rows, unit weights: plain element-wise adds (no weight
-/// multiply in the inner loop).
-#[inline]
-fn rows_unweighted(
-    indptr: &[usize],
-    indices: &[u32],
-    xd: &[f32],
-    d: usize,
-    first_row: usize,
-    chunk: &mut [f32],
-) {
-    for (local, out) in chunk.chunks_exact_mut(d).enumerate() {
-        let u = first_row + local;
-        let (lo, hi) = (indptr[u], indptr[u + 1]);
-        // The first neighbor initializes the row (no zeroing pass over the
-        // output — it would cost a full extra write sweep at large d).
-        if lo == hi {
-            out.fill(0.0);
-            continue;
-        }
-        out.copy_from_slice(&xd[indices[lo] as usize * d..][..d]);
-        for e in lo + 1..hi {
-            prefetch_src(indices, xd, d, e + PREFETCH_AHEAD, hi);
-            let v = indices[e] as usize;
-            let src = &xd[v * d..(v + 1) * d];
-            for (o, s) in out.iter_mut().zip(src) {
-                *o += s;
-            }
-        }
-    }
-}
-
-/// General-width rows with edge weights: axpy per neighbor.
-#[inline]
-fn rows_weighted(
-    indptr: &[usize],
-    indices: &[u32],
-    ws: &[f32],
-    xd: &[f32],
-    d: usize,
-    first_row: usize,
-    chunk: &mut [f32],
-) {
-    for (local, out) in chunk.chunks_exact_mut(d).enumerate() {
-        let u = first_row + local;
-        let (lo, hi) = (indptr[u], indptr[u + 1]);
-        // First neighbor initializes the row; see rows_unweighted.
-        if lo == hi {
-            out.fill(0.0);
-            continue;
-        }
-        let w0 = ws[lo];
-        let src0 = &xd[indices[lo] as usize * d..][..d];
-        for (o, s) in out.iter_mut().zip(src0) {
-            *o = w0 * s;
-        }
-        for e in lo + 1..hi {
-            prefetch_src(indices, xd, d, e + PREFETCH_AHEAD, hi);
-            let v = indices[e] as usize;
-            let src = &xd[v * d..(v + 1) * d];
-            sgnn_linalg::vecops::axpy(ws[e], src, out);
-        }
     }
 }
 

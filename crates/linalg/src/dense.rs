@@ -282,16 +282,6 @@ impl DenseMatrix {
         Ok(out)
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-        self.check_same_shape(rhs, "hadamard")?;
-        let mut out = self.clone();
-        for (o, &r) in out.data.iter_mut().zip(rhs.data.iter()) {
-            *o *= r;
-        }
-        Ok(out)
-    }
-
     /// Scales every entry in place.
     pub fn scale(&mut self, alpha: f32) {
         vecops::scale(&mut self.data, alpha);
@@ -550,12 +540,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard() {
+    fn add_sub() {
         let a = DenseMatrix::from_rows(&[&[1.0, 2.0]]);
         let b = DenseMatrix::from_rows(&[&[3.0, 5.0]]);
         assert_eq!(a.add(&b).unwrap().data(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[2.0, 3.0]);
-        assert_eq!(a.hadamard(&b).unwrap().data(), &[3.0, 10.0]);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   shard trainer's bitwise-equality guarantee (DESIGN.md §7).
 //! - [`rng`] — deterministic Gaussian sampling (Box–Muller) since the
 //!   allowed `rand` build ships no normal distribution.
-//! - [`simd`] — explicit AVX2/NEON micro-kernels behind the `simd` feature,
-//!   bitwise-identical to their scalar fallbacks (DESIGN.md §9).
+//! - [`simd`] — runtime-dispatched AVX2/NEON micro-kernels, compiled into
+//!   every build and bitwise-identical to their [`simd::scalar`]
+//!   reference kernels (DESIGN.md §9).
 //! - [`quant`] — int8/f16 inference-only quantized matrices with f32
 //!   accumulation and a documented error tolerance.
 

@@ -14,10 +14,9 @@
 //!   [`par_rows_mut`]) — right for dense kernels where every row costs the
 //!   same;
 //! - *balanced*: chunk boundaries placed by binary search on a caller-
-//!   provided prefix-sum of per-row weights ([`par_balanced_chunks`],
-//!   [`par_balanced_rows_mut`]) — right for CSR kernels on power-law
-//!   graphs, where equal row counts put one hub's entire edge list on a
-//!   single worker.
+//!   provided prefix-sum of per-row weights ([`par_balanced_rows_mut`]) —
+//!   right for CSR kernels on power-law graphs, where equal row counts put
+//!   one hub's entire edge list on a single worker.
 //!
 //! Threading contract: [`set_threads`]`(1)` makes every kernel run inline
 //! on the calling thread (the reproducible-benchmark baseline);
@@ -432,33 +431,11 @@ pub fn balanced_boundary(prefix: &[usize], chunks: usize, j: usize) -> usize {
     prefix.partition_point(|&p| p < target).min(rows)
 }
 
-/// Runs `body(start_row, end_row)` over row chunks whose **weight** (per
-/// the prefix-sum `prefix`) is as equal as possible — the partitioning for
-/// CSR kernels on skewed degree distributions. `min_weight` is the minimum
-/// total weight that justifies a second thread.
-pub fn par_balanced_chunks<F>(prefix: &[usize], min_weight: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let rows = prefix.len().saturating_sub(1);
-    let total = if rows == 0 { 0 } else { prefix[rows] };
-    let threads = participants_for(total / min_weight.max(1));
-    if threads <= 1 || rows == 0 {
-        body(0, rows);
-        return;
-    }
-    let chunks = (threads * OVERSUB).min(rows).max(1);
-    run_job(chunks, threads, &|i| {
-        let start = balanced_boundary(prefix, chunks, i);
-        let end = balanced_boundary(prefix, chunks, i + 1);
-        if start < end {
-            body(start, end);
-        }
-    });
-}
-
-/// Write-side companion of [`par_balanced_chunks`]: splits `data` into
-/// weight-balanced disjoint row slices and runs `body(first_row, rows)`.
+/// Splits `data` into row slices whose **weight** (per the prefix-sum
+/// `prefix`) is as equal as possible — the partitioning for CSR kernels on
+/// skewed degree distributions — and runs `body(first_row, rows)` on each.
+/// `min_weight` is the minimum total weight that justifies a second
+/// thread.
 ///
 /// `prefix` must describe exactly `data.len() / row_width` rows.
 pub fn par_balanced_rows_mut<T, F>(

@@ -1,42 +1,34 @@
-//! Explicit-SIMD micro-kernels behind the `simd` feature flag.
+//! Explicit-SIMD micro-kernels, compiled into every build.
 //!
 //! Every kernel here is an element-wise (lane-independent) operation or an
 //! edge-ordered gather whose per-element operation sequence is *identical*
-//! to the scalar reference: multiplies and adds are emitted separately
+//! to its [`scalar`] reference: multiplies and adds are emitted separately
 //! (never fused into FMA, which rounds once instead of twice), lanes never
 //! exchange values, and accumulation order over edges is preserved. That
 //! makes every f32/f64 kernel in this module **bitwise identical** to its
-//! scalar fallback — the DESIGN.md §4–§8 determinism contracts hold with
-//! the feature on or off, at any thread count.
+//! reference — the DESIGN.md §4–§8 determinism contracts hold on every
+//! backend and at any thread count.
 //!
-//! Dispatch: with the `simd` feature enabled, x86_64 picks AVX2 when the
-//! CPU has it (runtime-detected once, cached in an atomic) and aarch64
-//! uses NEON (baseline on that architecture); everything else — and every
-//! build without the feature — runs the scalar loops below, which are the
-//! exact kernels the workspace shipped before this module existed. The
-//! quantized kernels ([`axpy_i8`], [`axpy_f16`]) follow the same rule:
-//! integer→float conversions are exact in both paths, so quantized
-//! inference is also bitwise reproducible across backends (its *error* is
-//! relative to f32, not across machines; see `quant`).
+//! Dispatch: x86_64 picks AVX2 (AVX2 + F16C for [`axpy_f16`]) when the CPU
+//! has it, runtime-detected once and cached in an atomic; aarch64 uses
+//! NEON (baseline on that architecture) for the element-wise f32/f64
+//! kernels. Everything else — and an x86_64 CPU without AVX2 — runs the
+//! [`scalar`] reference loops, which are also what the tests compare every
+//! dispatched kernel against. The quantized kernels ([`axpy_i8`],
+//! [`axpy_f16`]) follow the same rule: integer→float conversions are exact
+//! in both paths, so quantized inference is also bitwise reproducible
+//! across backends (its *error* is relative to f32, not across machines;
+//! see `quant`).
 
 /// Name of the backend the f32 kernels will actually run on — used by
 /// `benchkernels` to attribute speedups to lanes honestly.
 pub fn active_backend() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if x86::avx2() {
-            return "avx2";
-        }
-        "scalar(no-avx2)"
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        return "neon";
-    }
-    #[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    {
-        "scalar"
-    }
+    #[cfg(target_arch = "x86_64")]
+    return if x86::avx2() { "avx2" } else { "scalar(no-avx2)" };
+    #[cfg(target_arch = "aarch64")]
+    return "neon";
+    #[allow(unreachable_code)]
+    "scalar"
 }
 
 /// f32 lanes per vector op on the active backend (1 = scalar).
@@ -52,63 +44,63 @@ pub fn f32_lanes() -> usize {
 // Element-wise kernels (used by vecops and the dense GEMM)
 // ---------------------------------------------------------------------------
 
-/// `y += alpha * x` (f32). Bitwise identical across backends.
+/// `y += alpha * x` (f32). Bitwise identical to [`scalar::axpy_f32`].
 #[inline]
 pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x86::avx2() {
-        return unsafe { x86::axpy_f32_avx2(alpha, x, y) };
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { x86::axpy_f32(alpha, x, y) };
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    return neon::axpy_f32_neon(alpha, x, y);
+    #[cfg(target_arch = "aarch64")]
+    return neon::axpy_f32(alpha, x, y);
     #[allow(unreachable_code)]
-    scalar_axpy_f32(alpha, x, y)
+    scalar::axpy_f32(alpha, x, y)
 }
 
-/// `y += x` (f32). Bitwise identical across backends.
+/// `y += x` (f32). Bitwise identical to [`scalar::add_f32`].
 #[inline]
 pub fn add_f32(x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x86::avx2() {
-        return unsafe { x86::add_f32_avx2(x, y) };
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { x86::add_f32(x, y) };
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    return neon::add_f32_neon(x, y);
+    #[cfg(target_arch = "aarch64")]
+    return neon::add_f32(x, y);
     #[allow(unreachable_code)]
-    for (o, s) in y.iter_mut().zip(x) {
-        *o += *s;
-    }
+    scalar::add_f32(x, y)
 }
 
-/// `y += alpha * x` (f64). Bitwise identical across backends.
+/// `y += alpha * x` (f64). Bitwise identical to [`scalar::axpy_f64`].
 #[inline]
 pub fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x86::avx2() {
-        return unsafe { x86::axpy_f64_avx2(alpha, x, y) };
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { x86::axpy_f64(alpha, x, y) };
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    return neon::axpy_f64_neon(alpha, x, y);
+    #[cfg(target_arch = "aarch64")]
+    return neon::axpy_f64(alpha, x, y);
     #[allow(unreachable_code)]
-    scalar_axpy_f64(alpha, x, y)
+    scalar::axpy_f64(alpha, x, y)
 }
 
-/// `x *= alpha` in place (f32). Bitwise identical across backends.
+/// `x *= alpha` in place (f32). Bitwise identical to [`scalar::scale_f32`].
 #[inline]
 pub fn scale_f32(x: &mut [f32], alpha: f32) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x86::avx2() {
-        return unsafe { x86::scale_f32_avx2(x, alpha) };
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { x86::scale_f32(x, alpha) };
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    return neon::scale_f32_neon(x, alpha);
+    #[cfg(target_arch = "aarch64")]
+    return neon::scale_f32(x, alpha);
     #[allow(unreachable_code)]
-    for v in x.iter_mut() {
-        *v *= alpha;
-    }
+    scalar::scale_f32(x, alpha)
 }
 
 /// `y += alpha * (x[i] as f32)` for int8 payloads (quantized inference:
@@ -116,14 +108,13 @@ pub fn scale_f32(x: &mut [f32], alpha: f32) {
 #[inline]
 pub fn axpy_i8(alpha: f32, x: &[i8], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x86::avx2() {
-        return unsafe { x86::axpy_i8_avx2(alpha, x, y) };
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { x86::axpy_i8(alpha, x, y) };
     }
     #[allow(unreachable_code)]
-    for (o, &q) in y.iter_mut().zip(x) {
-        *o += alpha * q as f32;
-    }
+    scalar::axpy_i8(alpha, x, y)
 }
 
 /// `y += alpha * f16_to_f32(x[i])` for IEEE-754 binary16 payloads stored
@@ -131,28 +122,13 @@ pub fn axpy_i8(alpha: f32, x: &[i8], y: &mut [f32]) {
 #[inline]
 pub fn axpy_f16(alpha: f32, x: &[u16], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x86::f16c() {
-        return unsafe { x86::axpy_f16_f16c(alpha, x, y) };
+        // SAFETY: `f16c()` confirmed the CPU supports AVX2 and F16C.
+        return unsafe { x86::axpy_f16(alpha, x, y) };
     }
     #[allow(unreachable_code)]
-    for (o, &h) in y.iter_mut().zip(x) {
-        *o += alpha * crate::quant::f16_to_f32(h);
-    }
-}
-
-#[inline]
-fn scalar_axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    for i in 0..x.len() {
-        y[i] += alpha * x[i];
-    }
-}
-
-#[inline]
-fn scalar_axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
-    for i in 0..x.len() {
-        y[i] += alpha * x[i];
-    }
+    scalar::axpy_f16(alpha, x, y)
 }
 
 // ---------------------------------------------------------------------------
@@ -161,12 +137,11 @@ fn scalar_axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
 //
 // One call aggregates one destination row's neighbors over one feature
 // column window: `out[j] = Σ_e w_e · x[idx_e · d + col_off + j]`, edges in
-// CSR order, initialized from the *first* edge (matching the production
-// `rows_weighted`/`rows_unweighted` semantics exactly — no zero-init pass,
-// so `-0.0` sources reproduce too). The SIMD versions hold the whole
-// column window in vector registers across the edge loop, so per edge the
-// only memory traffic is the gathered source row; dispatch happens once
-// per (row, window), never per edge.
+// CSR order, initialized from the *first* edge (no zero-init pass, so
+// `-0.0` sources reproduce too). The AVX2 version holds the whole column
+// window in vector registers across the edge loop, so per edge the only
+// memory traffic is the gathered source row; dispatch happens once per
+// (row, window), never per edge.
 
 /// Unweighted gather-accumulate into `out` (a `tw`-wide column window).
 /// `idx` must be non-empty; callers zero-fill empty rows themselves.
@@ -174,12 +149,13 @@ fn scalar_axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
 pub fn row_gather_unweighted(out: &mut [f32], xd: &[f32], d: usize, col_off: usize, idx: &[u32]) {
     debug_assert!(!idx.is_empty());
     debug_assert!(col_off + out.len() <= d);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x86::avx2() {
-        return unsafe { x86::row_gather_avx2(out, xd, d, col_off, idx, None) };
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { x86::row_gather(out, xd, d, col_off, idx, None) };
     }
     #[allow(unreachable_code)]
-    scalar_row_gather(out, xd, d, col_off, idx, None)
+    scalar::row_gather_unweighted(out, xd, d, col_off, idx)
 }
 
 /// Weighted gather-accumulate; `ws` is the row's edge-weight slice,
@@ -196,50 +172,13 @@ pub fn row_gather_weighted(
     debug_assert!(!idx.is_empty());
     debug_assert_eq!(idx.len(), ws.len());
     debug_assert!(col_off + out.len() <= d);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if x86::avx2() {
-        return unsafe { x86::row_gather_avx2(out, xd, d, col_off, idx, Some(ws)) };
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { x86::row_gather(out, xd, d, col_off, idx, Some(ws)) };
     }
     #[allow(unreachable_code)]
-    scalar_row_gather(out, xd, d, col_off, idx, Some(ws))
-}
-
-/// Scalar reference for the gather kernels: edge-outer, exactly the
-/// production `rows_*` loop restricted to a column window.
-fn scalar_row_gather(
-    out: &mut [f32],
-    xd: &[f32],
-    d: usize,
-    col_off: usize,
-    idx: &[u32],
-    ws: Option<&[f32]>,
-) {
-    let tw = out.len();
-    let src0 = &xd[idx[0] as usize * d + col_off..][..tw];
-    match ws {
-        None => {
-            out.copy_from_slice(src0);
-            for &v in &idx[1..] {
-                let src = &xd[v as usize * d + col_off..][..tw];
-                for (o, s) in out.iter_mut().zip(src) {
-                    *o += *s;
-                }
-            }
-        }
-        Some(ws) => {
-            let w0 = ws[0];
-            for (o, s) in out.iter_mut().zip(src0) {
-                *o = w0 * *s;
-            }
-            for (e, &v) in idx.iter().enumerate().skip(1) {
-                let w = ws[e];
-                let src = &xd[v as usize * d + col_off..][..tw];
-                for (o, s) in out.iter_mut().zip(src) {
-                    *o += w * *s;
-                }
-            }
-        }
-    }
+    scalar::row_gather_weighted(out, xd, d, col_off, idx, ws)
 }
 
 /// Quantized-feature gather: `out[j] += Σ_e (w_e · scale[v_e]) ·
@@ -286,11 +225,112 @@ pub fn row_gather_q_f16(
 }
 
 // ---------------------------------------------------------------------------
+// Scalar reference kernels
+// ---------------------------------------------------------------------------
+
+/// Portable reference kernels: the specification of every dispatched
+/// kernel above, with the same signatures.
+///
+/// Each performs, per output element, the same rounded operations in the
+/// same order as its vector counterpart, so a dispatched kernel must
+/// equal its reference bit for bit on every input (NaN positions
+/// included). They run wherever no vector backend applies, finish the
+/// vector kernels' sub-lane tails, and are what the equivalence tests
+/// compare against.
+pub mod scalar {
+    /// `y += alpha * x` (f32).
+    #[inline]
+    pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
+        for (o, s) in y.iter_mut().zip(x) {
+            *o += alpha * *s;
+        }
+    }
+
+    /// `y += x` (f32).
+    #[inline]
+    pub fn add_f32(x: &[f32], y: &mut [f32]) {
+        for (o, s) in y.iter_mut().zip(x) {
+            *o += *s;
+        }
+    }
+
+    /// `y += alpha * x` (f64).
+    #[inline]
+    pub fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
+        for (o, s) in y.iter_mut().zip(x) {
+            *o += alpha * *s;
+        }
+    }
+
+    /// `x *= alpha` in place (f32).
+    #[inline]
+    pub fn scale_f32(x: &mut [f32], alpha: f32) {
+        for v in x.iter_mut() {
+            *v *= alpha;
+        }
+    }
+
+    /// `y += alpha * (x[i] as f32)` for int8 payloads.
+    #[inline]
+    pub fn axpy_i8(alpha: f32, x: &[i8], y: &mut [f32]) {
+        for (o, &q) in y.iter_mut().zip(x) {
+            *o += alpha * q as f32;
+        }
+    }
+
+    /// `y += alpha * f16_to_f32(x[i])` for binary16 payloads.
+    #[inline]
+    pub fn axpy_f16(alpha: f32, x: &[u16], y: &mut [f32]) {
+        for (o, &h) in y.iter_mut().zip(x) {
+            *o += alpha * crate::quant::f16_to_f32(h);
+        }
+    }
+
+    /// Unweighted gather over a column window: the first edge's source
+    /// window initializes `out`, later edges add theirs in CSR order.
+    #[inline]
+    pub fn row_gather_unweighted(
+        out: &mut [f32],
+        xd: &[f32],
+        d: usize,
+        col_off: usize,
+        idx: &[u32],
+    ) {
+        let tw = out.len();
+        out.copy_from_slice(&xd[idx[0] as usize * d + col_off..][..tw]);
+        for &v in &idx[1..] {
+            add_f32(&xd[v as usize * d + col_off..][..tw], out);
+        }
+    }
+
+    /// Weighted gather over a column window: `out = w₀·x₀`, then
+    /// `out += w_e·x_e` for the later edges in CSR order.
+    #[inline]
+    pub fn row_gather_weighted(
+        out: &mut [f32],
+        xd: &[f32],
+        d: usize,
+        col_off: usize,
+        idx: &[u32],
+        ws: &[f32],
+    ) {
+        let tw = out.len();
+        for (o, s) in out.iter_mut().zip(&xd[idx[0] as usize * d + col_off..][..tw]) {
+            *o = ws[0] * *s;
+        }
+        for (&v, &w) in idx[1..].iter().zip(&ws[1..]) {
+            axpy_f32(w, &xd[v as usize * d + col_off..][..tw], out);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // x86_64 AVX2 backend
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::scalar;
     use std::arch::x86_64::*;
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -322,9 +362,13 @@ mod x86 {
         avx2() && f16c_raw()
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_f32_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = x.len();
+    pub(super) unsafe fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
+        // SAFETY (loads and stores below): `i + 8 <= n` and `n` bounds
+        // both slices, whatever lengths the caller passed.
+        let n = x.len().min(y.len());
         let a = _mm256_set1_ps(alpha);
         let mut i = 0;
         while i + 8 <= n {
@@ -335,15 +379,16 @@ mod x86 {
             _mm256_storeu_ps(y.as_mut_ptr().add(i), r);
             i += 8;
         }
-        while i < n {
-            *y.get_unchecked_mut(i) += alpha * *x.get_unchecked(i);
-            i += 1;
-        }
+        scalar::axpy_f32(alpha, &x[i..], &mut y[i..]);
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_f32_avx2(x: &[f32], y: &mut [f32]) {
-        let n = x.len();
+    pub(super) unsafe fn add_f32(x: &[f32], y: &mut [f32]) {
+        // SAFETY (loads and stores below): `i + 8 <= n` and `n` bounds
+        // both slices, whatever lengths the caller passed.
+        let n = x.len().min(y.len());
         let mut i = 0;
         while i + 8 <= n {
             let xv = _mm256_loadu_ps(x.as_ptr().add(i));
@@ -351,15 +396,16 @@ mod x86 {
             _mm256_storeu_ps(y.as_mut_ptr().add(i), _mm256_add_ps(yv, xv));
             i += 8;
         }
-        while i < n {
-            *y.get_unchecked_mut(i) += *x.get_unchecked(i);
-            i += 1;
-        }
+        scalar::add_f32(&x[i..], &mut y[i..]);
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_f64_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
+    pub(super) unsafe fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
+        // SAFETY (loads and stores below): `i + 4 <= n` and `n` bounds
+        // both slices, whatever lengths the caller passed.
+        let n = x.len().min(y.len());
         let a = _mm256_set1_pd(alpha);
         let mut i = 0;
         while i + 4 <= n {
@@ -369,14 +415,14 @@ mod x86 {
             _mm256_storeu_pd(y.as_mut_ptr().add(i), r);
             i += 4;
         }
-        while i < n {
-            *y.get_unchecked_mut(i) += alpha * *x.get_unchecked(i);
-            i += 1;
-        }
+        scalar::axpy_f64(alpha, &x[i..], &mut y[i..]);
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_f32_avx2(x: &mut [f32], alpha: f32) {
+    pub(super) unsafe fn scale_f32(x: &mut [f32], alpha: f32) {
+        // SAFETY (loads and stores below): `i + 8 <= n = x.len()`.
         let n = x.len();
         let a = _mm256_set1_ps(alpha);
         let mut i = 0;
@@ -385,15 +431,16 @@ mod x86 {
             _mm256_storeu_ps(x.as_mut_ptr().add(i), _mm256_mul_ps(xv, a));
             i += 8;
         }
-        while i < n {
-            *x.get_unchecked_mut(i) *= alpha;
-            i += 1;
-        }
+        scalar::scale_f32(&mut x[i..], alpha);
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_i8_avx2(alpha: f32, x: &[i8], y: &mut [f32]) {
-        let n = x.len();
+    pub(super) unsafe fn axpy_i8(alpha: f32, x: &[i8], y: &mut [f32]) {
+        // SAFETY (loads and stores below): `i + 8 <= n` and `n` bounds
+        // both slices, whatever lengths the caller passed.
+        let n = x.len().min(y.len());
         let a = _mm256_set1_ps(alpha);
         let mut i = 0;
         while i + 8 <= n {
@@ -406,15 +453,16 @@ mod x86 {
             _mm256_storeu_ps(y.as_mut_ptr().add(i), r);
             i += 8;
         }
-        while i < n {
-            *y.get_unchecked_mut(i) += alpha * *x.get_unchecked(i) as f32;
-            i += 1;
-        }
+        scalar::axpy_i8(alpha, &x[i..], &mut y[i..]);
     }
 
+    /// # Safety
+    /// The CPU must support AVX2 and F16C.
     #[target_feature(enable = "avx2,f16c")]
-    pub(super) unsafe fn axpy_f16_f16c(alpha: f32, x: &[u16], y: &mut [f32]) {
-        let n = x.len();
+    pub(super) unsafe fn axpy_f16(alpha: f32, x: &[u16], y: &mut [f32]) {
+        // SAFETY (loads and stores below): `i + 8 <= n` and `n` bounds
+        // both slices, whatever lengths the caller passed.
+        let n = x.len().min(y.len());
         let a = _mm256_set1_ps(alpha);
         let mut i = 0;
         while i + 8 <= n {
@@ -425,18 +473,18 @@ mod x86 {
             _mm256_storeu_ps(y.as_mut_ptr().add(i), r);
             i += 8;
         }
-        while i < n {
-            *y.get_unchecked_mut(i) += alpha * crate::quant::f16_to_f32(*x.get_unchecked(i));
-            i += 1;
-        }
+        scalar::axpy_f16(alpha, &x[i..], &mut y[i..]);
     }
 
     /// Register-tiled gather: the column window lives in YMM accumulators
     /// across the whole edge loop. Windows wider than 64 are processed in
     /// 64/32/16/8-column register tiles (each tile re-walks the row's
     /// edge slice, which is L1-resident); the sub-8 tail is scalar.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn row_gather_avx2(
+    pub(super) unsafe fn row_gather(
         out: &mut [f32],
         xd: &[f32],
         d: usize,
@@ -463,11 +511,18 @@ mod x86 {
             j += 8;
         }
         if j < tw {
-            super::scalar_row_gather(&mut out[j..], xd, d, col_off + j, idx, ws);
+            let tail = &mut out[j..];
+            match ws {
+                None => scalar::row_gather_unweighted(tail, xd, d, col_off + j, idx),
+                Some(ws) => scalar::row_gather_weighted(tail, xd, d, col_off + j, idx, ws),
+            }
         }
     }
 
     /// One register tile of `N` YMM accumulators (8·N columns).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     unsafe fn gather_tile<const N: usize>(
         out: &mut [f32],
@@ -477,16 +532,19 @@ mod x86 {
         idx: &[u32],
         ws: Option<&[f32]>,
     ) {
-        debug_assert_eq!(out.len(), 8 * N);
+        // SAFETY (loads and stores below): every source window and `out`
+        // are sliced to exactly 8·N values first, so each access is
+        // bounds-checked once per edge, outside the lane loop.
+        let out = &mut out[..8 * N];
         let mut acc = [_mm256_setzero_ps(); N];
-        let base0 = xd.as_ptr().add(idx[0] as usize * d + col);
+        let base0 = xd[idx[0] as usize * d + col..][..8 * N].as_ptr();
         match ws {
             None => {
                 for (k, a) in acc.iter_mut().enumerate() {
                     *a = _mm256_loadu_ps(base0.add(8 * k));
                 }
                 for &v in &idx[1..] {
-                    let base = xd.as_ptr().add(v as usize * d + col);
+                    let base = xd[v as usize * d + col..][..8 * N].as_ptr();
                     for (k, a) in acc.iter_mut().enumerate() {
                         *a = _mm256_add_ps(*a, _mm256_loadu_ps(base.add(8 * k)));
                     }
@@ -497,9 +555,9 @@ mod x86 {
                 for (k, a) in acc.iter_mut().enumerate() {
                     *a = _mm256_mul_ps(w0, _mm256_loadu_ps(base0.add(8 * k)));
                 }
-                for (e, &v) in idx.iter().enumerate().skip(1) {
-                    let w = _mm256_set1_ps(*ws.get_unchecked(e));
-                    let base = xd.as_ptr().add(v as usize * d + col);
+                for (&v, &w) in idx[1..].iter().zip(&ws[1..]) {
+                    let w = _mm256_set1_ps(w);
+                    let base = xd[v as usize * d + col..][..8 * N].as_ptr();
                     for (k, a) in acc.iter_mut().enumerate() {
                         *a = _mm256_add_ps(*a, _mm256_mul_ps(w, _mm256_loadu_ps(base.add(8 * k))));
                     }
@@ -516,16 +574,19 @@ mod x86 {
 // aarch64 NEON backend (element-wise kernels only; gathers use scalar)
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 mod neon {
+    use super::scalar;
     use std::arch::aarch64::*;
 
     #[inline]
-    pub(super) fn axpy_f32_neon(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = x.len();
+    pub(super) fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
+        let n = x.len().min(y.len());
+        let mut i = 0;
+        // SAFETY: NEON is baseline on aarch64, and `i + lanes <= n` with
+        // `n` bounding both slices.
         unsafe {
             let a = vdupq_n_f32(alpha);
-            let mut i = 0;
             while i + 4 <= n {
                 let xv = vld1q_f32(x.as_ptr().add(i));
                 let yv = vld1q_f32(y.as_ptr().add(i));
@@ -533,197 +594,58 @@ mod neon {
                 vst1q_f32(y.as_mut_ptr().add(i), vaddq_f32(yv, vmulq_f32(a, xv)));
                 i += 4;
             }
-            while i < n {
-                *y.get_unchecked_mut(i) += alpha * *x.get_unchecked(i);
-                i += 1;
-            }
         }
+        scalar::axpy_f32(alpha, &x[i..], &mut y[i..]);
     }
 
     #[inline]
-    pub(super) fn add_f32_neon(x: &[f32], y: &mut [f32]) {
-        let n = x.len();
+    pub(super) fn add_f32(x: &[f32], y: &mut [f32]) {
+        let n = x.len().min(y.len());
+        let mut i = 0;
+        // SAFETY: NEON is baseline on aarch64, and `i + lanes <= n` with
+        // `n` bounding both slices.
         unsafe {
-            let mut i = 0;
             while i + 4 <= n {
                 let xv = vld1q_f32(x.as_ptr().add(i));
                 let yv = vld1q_f32(y.as_ptr().add(i));
                 vst1q_f32(y.as_mut_ptr().add(i), vaddq_f32(yv, xv));
                 i += 4;
             }
-            while i < n {
-                *y.get_unchecked_mut(i) += *x.get_unchecked(i);
-                i += 1;
-            }
         }
+        scalar::add_f32(&x[i..], &mut y[i..]);
     }
 
     #[inline]
-    pub(super) fn axpy_f64_neon(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
+    pub(super) fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
+        let n = x.len().min(y.len());
+        let mut i = 0;
+        // SAFETY: NEON is baseline on aarch64, and `i + lanes <= n` with
+        // `n` bounding both slices.
         unsafe {
             let a = vdupq_n_f64(alpha);
-            let mut i = 0;
             while i + 2 <= n {
                 let xv = vld1q_f64(x.as_ptr().add(i));
                 let yv = vld1q_f64(y.as_ptr().add(i));
                 vst1q_f64(y.as_mut_ptr().add(i), vaddq_f64(yv, vmulq_f64(a, xv)));
                 i += 2;
             }
-            while i < n {
-                *y.get_unchecked_mut(i) += alpha * *x.get_unchecked(i);
-                i += 1;
-            }
         }
+        scalar::axpy_f64(alpha, &x[i..], &mut y[i..]);
     }
 
     #[inline]
-    pub(super) fn scale_f32_neon(x: &mut [f32], alpha: f32) {
+    pub(super) fn scale_f32(x: &mut [f32], alpha: f32) {
         let n = x.len();
+        let mut i = 0;
+        // SAFETY: NEON is baseline on aarch64, and `i + 4 <= n = x.len()`.
         unsafe {
             let a = vdupq_n_f32(alpha);
-            let mut i = 0;
             while i + 4 <= n {
                 let xv = vld1q_f32(x.as_ptr().add(i));
                 vst1q_f32(x.as_mut_ptr().add(i), vmulq_f32(xv, a));
                 i += 4;
             }
-            while i < n {
-                *x.get_unchecked_mut(i) *= alpha;
-                i += 1;
-            }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Odd lengths exercise both the vector body and the scalar tail.
-    const LENS: [usize; 6] = [1, 7, 8, 9, 31, 130];
-
-    fn gaussian(n: usize, seed: u64) -> Vec<f32> {
-        let mut rng = crate::rng::seeded(seed);
-        let mut v = vec![0f32; n];
-        crate::rng::fill_gaussian(&mut rng, &mut v, 0.0, 1.0);
-        v
-    }
-
-    #[test]
-    fn axpy_f32_bitwise_matches_scalar() {
-        for &n in &LENS {
-            let x = gaussian(n, 1);
-            let mut y = gaussian(n, 2);
-            let mut y_ref = y.clone();
-            axpy_f32(1.37, &x, &mut y);
-            scalar_axpy_f32(1.37, &x, &mut y_ref);
-            assert_eq!(
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "n={n} backend={}",
-                active_backend()
-            );
-        }
-    }
-
-    #[test]
-    fn add_and_scale_bitwise_match_scalar() {
-        for &n in &LENS {
-            let x = gaussian(n, 3);
-            let mut y = gaussian(n, 4);
-            let mut y_ref = y.clone();
-            add_f32(&x, &mut y);
-            for (o, s) in y_ref.iter_mut().zip(&x) {
-                *o += *s;
-            }
-            assert_eq!(y, y_ref, "add n={n}");
-            scale_f32(&mut y, 0.731);
-            for v in y_ref.iter_mut() {
-                *v *= 0.731;
-            }
-            assert_eq!(y, y_ref, "scale n={n}");
-        }
-    }
-
-    #[test]
-    fn axpy_f64_bitwise_matches_scalar() {
-        for &n in &LENS {
-            let x: Vec<f64> = gaussian(n, 5).iter().map(|&v| v as f64).collect();
-            let mut y: Vec<f64> = gaussian(n, 6).iter().map(|&v| v as f64).collect();
-            let mut y_ref = y.clone();
-            axpy_f64(-0.9137, &x, &mut y);
-            scalar_axpy_f64(-0.9137, &x, &mut y_ref);
-            assert_eq!(
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn axpy_i8_matches_scalar() {
-        for &n in &LENS {
-            let x: Vec<i8> = (0..n).map(|i| ((i as i64 * 37 - 64) % 127) as i8).collect();
-            let mut y = gaussian(n, 7);
-            let mut y_ref = y.clone();
-            axpy_i8(0.031, &x, &mut y);
-            for (o, &q) in y_ref.iter_mut().zip(&x) {
-                *o += 0.031 * q as f32;
-            }
-            assert_eq!(y, y_ref, "n={n}");
-        }
-    }
-
-    #[test]
-    fn axpy_f16_matches_scalar() {
-        for &n in &LENS {
-            let x: Vec<u16> = gaussian(n, 8).iter().map(|&v| crate::quant::f32_to_f16(v)).collect();
-            let mut y = gaussian(n, 9);
-            let mut y_ref = y.clone();
-            axpy_f16(1.5, &x, &mut y);
-            for (o, &h) in y_ref.iter_mut().zip(&x) {
-                *o += 1.5 * crate::quant::f16_to_f32(h);
-            }
-            assert_eq!(y, y_ref, "n={n}");
-        }
-    }
-
-    #[test]
-    fn row_gather_bitwise_matches_scalar_reference() {
-        // A fake 10-row feature matrix with d = 70 (covers the 64/32/16/8
-        // register tiles plus a scalar tail in one window).
-        let d = 70usize;
-        let xd = gaussian(10 * d, 10);
-        let idx: Vec<u32> = vec![3, 0, 9, 9, 5, 1];
-        let ws = gaussian(idx.len(), 11);
-        for col_off in [0usize, 3, 64] {
-            for tw in [d - col_off, 1.min(d - col_off)] {
-                let mut out = vec![0f32; tw];
-                let mut out_ref = vec![0f32; tw];
-                row_gather_weighted(&mut out, &xd, d, col_off, &idx, &ws);
-                scalar_row_gather(&mut out_ref, &xd, d, col_off, &idx, Some(&ws));
-                assert_eq!(
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    out_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "weighted col_off={col_off} tw={tw}"
-                );
-                row_gather_unweighted(&mut out, &xd, d, col_off, &idx);
-                scalar_row_gather(&mut out_ref, &xd, d, col_off, &idx, None);
-                assert_eq!(out, out_ref, "unweighted col_off={col_off} tw={tw}");
-            }
-        }
-    }
-
-    #[test]
-    fn backend_lane_report_is_consistent() {
-        let b = active_backend();
-        let l = f32_lanes();
-        match b {
-            "avx2" => assert_eq!(l, 8),
-            "neon" => assert_eq!(l, 4),
-            _ => assert_eq!(l, 1),
-        }
+        scalar::scale_f32(&mut x[i..], alpha);
     }
 }

@@ -26,8 +26,8 @@ pub fn dot64(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// `y += alpha * x`. SIMD-accelerated under the `simd` feature
-/// (bitwise-identical; see [`crate::simd`]).
+/// `y += alpha * x`, on the dispatched SIMD kernel (bitwise-identical to
+/// the scalar loop; see [`crate::simd`]).
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
@@ -65,18 +65,6 @@ pub fn norm2(x: &[f32]) -> f32 {
 #[inline]
 pub fn norm2_64(x: &[f64]) -> f64 {
     dot64(x, x).sqrt()
-}
-
-/// L1 norm.
-#[inline]
-pub fn norm1(x: &[f32]) -> f32 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// Maximum absolute entry (∞-norm).
-#[inline]
-pub fn norm_inf(x: &[f32]) -> f32 {
-    x.iter().fold(0f32, |m, v| m.max(v.abs()))
 }
 
 /// Normalizes `x` to unit Euclidean length; returns the original norm.
@@ -157,24 +145,6 @@ pub fn variance(x: &[f32]) -> f32 {
     }
     let m = mean(x);
     x.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / x.len() as f32
-}
-
-/// Mean of an `f64` slice; `0.0` when empty.
-pub fn mean64(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        0.0
-    } else {
-        x.iter().sum::<f64>() / x.len() as f64
-    }
-}
-
-/// Population variance of an `f64` slice; `0.0` when empty.
-pub fn variance64(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    let m = mean64(x);
-    x.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / x.len() as f64
 }
 
 #[cfg(test)]

@@ -27,9 +27,12 @@
 //! With `Normal` pressure, no expiry, no breaker, and no fault plan,
 //! the pressured path is the PR 9 path — same bits, same counters
 //! (`tests/serving_overload.rs` pins this differentially). Under a
-//! fault plan, store reads are CRC-verified and corrupted rows are
-//! rebuilt with the same push kernel that built them; `Hot` store
-//! repairs are bitwise.
+//! fault plan, store reads are CRC-verified and a corrupted row is
+//! rebuilt with the per-node push. A `Hot` store was built by that push
+//! at the same tolerance, so its repairs are bitwise. A `Full` store was
+//! built by the column push; its repaired row is the per-node push at
+//! `eps = rmax` (residual threshold `eps·deg`): the same operator row
+//! within that push's tolerance, not the same bits.
 //!
 //! Every on-demand push (fresh rows, escalations, store repairs) runs on
 //! one [`PushWorkspace`] the engine owns, and acquired rows are written
@@ -382,8 +385,11 @@ impl ServeEngine {
     }
 
     /// Chaos path, armed only by a fault plan: corrupt the store row if
-    /// the plan says so, then CRC-verify and rebuild on mismatch with
-    /// the same push kernel that built the store (bitwise for `Hot`).
+    /// the plan says so, then CRC-verify and rebuild on mismatch with the
+    /// per-node push. That is the kernel and tolerance that built a `Hot`
+    /// row, so a `Hot` repair is bitwise; a `Full` row (built by the
+    /// column push) is rebuilt at `eps = rmax`, within that push's
+    /// `eps·deg` tolerance but not bitwise.
     fn verify_store_row(&mut self, u: NodeId, req_idx: u64) {
         let Some(plan) = self.cfg.fault_plan.clone() else {
             return;

@@ -15,9 +15,10 @@
 //!
 //! Every present row is CRC-32 checksummed at build time
 //! ([`EmbeddingStore::verify`]); the engine verifies reads only when a
-//! fault plan is armed and rebuilds a corrupted row with the same push
-//! kernel that built it — for `Hot` stores the repaired row is bitwise
-//! the original (DESIGN.md §13).
+//! fault plan is armed and rebuilds a corrupted row with the per-node
+//! push. For `Hot` stores that is the kernel that built the row, so the
+//! repaired row is bitwise the original; a `Full` row is rebuilt within
+//! the per-node push's tolerance, not bitwise (DESIGN.md §13).
 
 use crate::push::fresh_row;
 use sgnn_fault::crc::crc32_f32s;

@@ -19,10 +19,14 @@ use sgnn_graph::{CsrGraph, GraphBuilder, NodeId};
 /// Dense symmetric SimRank scores (row-major `n×n`). Iterates until the
 /// max entry change falls below `tol` or `max_iter` sweeps.
 ///
-/// Intended for `n ≤ ~3000`; memory is `n²` f64s.
+/// Intended for `n ≤ ~3000`; memory is `n²` f64s. A graph with no nodes
+/// yields an empty matrix.
 pub fn simrank_matrix(g: &CsrGraph, c: f64, tol: f64, max_iter: usize) -> Vec<f64> {
     assert!((0.0..1.0).contains(&c), "decay must be in [0,1)");
     let n = g.num_nodes();
+    if n == 0 {
+        return Vec::new();
+    }
     let mut s = vec![0f64; n * n];
     let mut next = vec![0f64; n * n];
     for u in 0..n {
@@ -127,7 +131,8 @@ pub fn topk_of_row(s: &[f64], n: usize, u: usize, k: usize) -> Vec<(NodeId, f64)
 ///
 /// GNNs add one aggregation pass over this graph to inject global,
 /// structure-similar context — the heterophily fix of SIMGA [28] — while
-/// keeping the pass as cheap as a sparse k-NN product.
+/// keeping the pass as cheap as a sparse k-NN product. A graph with no
+/// nodes yields an empty graph.
 pub fn topk_similarity_graph(g: &CsrGraph, c: f64, k: usize, iters: usize) -> CsrGraph {
     let n = g.num_nodes();
     let s = simrank_matrix(g, c, 1e-4, iters);

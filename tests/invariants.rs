@@ -130,3 +130,20 @@ proptest! {
         }
     }
 }
+
+/// SimRank on the smallest graphs: no nodes gives an empty matrix and an
+/// empty similarity graph (no panic); one node is similar only to itself
+/// and has no peers.
+#[test]
+fn simrank_handles_empty_and_single_node_graphs() {
+    use sgnn::sim::{simrank_matrix, topk_similarity_graph};
+    let empty = GraphBuilder::new(0).build().unwrap();
+    assert!(simrank_matrix(&empty, 0.6, 1e-6, 10).is_empty());
+    let s = topk_similarity_graph(&empty, 0.6, 3, 10);
+    assert_eq!((s.num_nodes(), s.num_edges()), (0, 0));
+
+    let single = GraphBuilder::new(1).build().unwrap();
+    assert_eq!(simrank_matrix(&single, 0.6, 1e-6, 10), vec![1.0]);
+    let s = topk_similarity_graph(&single, 0.6, 3, 10);
+    assert_eq!((s.num_nodes(), s.num_edges()), (1, 0));
+}

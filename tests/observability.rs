@@ -190,9 +190,8 @@ proptest! {
 
 /// The disabled path of every instrument — span, counter, gauge,
 /// histogram — is one relaxed load plus a predicted branch. Budget is
-/// 2 ns/call; the assert allows 10x for shared-CI noise. CI runs this
-/// with and without `--features simd` (the flag must not regress the
-/// fast path).
+/// 2 ns/call; the assert allows 10x for shared-CI noise. CI also runs
+/// this in a release build.
 #[test]
 fn disabled_instruments_cost_nanoseconds() {
     let _g = OBS.lock().unwrap_or_else(|e| e.into_inner());

@@ -368,3 +368,48 @@ fn chaos_spike_and_store_corruption_are_absorbed() {
     assert!(served.iter().all(|s| s.strategy == Strategy::Cached));
     assert_eq!(e.stats().store_repairs, 1, "the corrupted row must be rebuilt exactly once");
 }
+
+/// A corrupted `Full` store row is caught and rebuilt once, and the
+/// rebuilt row verifies on every later read. The rebuild runs the
+/// per-node push, not the column kernel that built the store, so only
+/// the repaired node's answers may differ from the clean engine: every
+/// other answer and every other counter must equal the clean run's.
+#[test]
+fn full_store_repair_is_caught_once_and_leaves_other_answers_alone() {
+    let mk = |plan: Option<Arc<FaultPlan>>| {
+        let g = generate::barabasi_albert(N, 3, 5);
+        let x = DenseMatrix::gaussian(N, 5, 1.0, 2);
+        let head = Mlp::new(&[5, 8, 4], 0.0, 17);
+        let cfg = ServeConfig {
+            policy: PrecomputePolicy::Full { rmax: 1e-4 },
+            cache_capacity: 8,
+            fault_plan: plan,
+            ..Default::default()
+        };
+        ServeEngine::new(g, x, head, cfg)
+    };
+    let hit: NodeId = 7;
+    let trace: Vec<NodeId> = vec![hit, 3, hit, 40, hit, 99, 3, hit];
+    // Corrupt the store row read by request index 2 (the second `hit`).
+    let plan = Arc::new(FaultPlan::new(31).corrupt_store_row_at(2, 4));
+    let mut chaotic = mk(Some(Arc::clone(&plan)));
+    let mut clean = mk(None);
+    let a = chaotic.serve_batch(&trace);
+    let b = clean.serve_batch(&trace);
+    assert!(plan.exhausted(), "the corruption must have fired");
+    assert_eq!(chaotic.stats().store_repairs, 1, "one rebuild; later reads re-verify");
+    let row_bits =
+        |m: &DenseMatrix, i: usize| m.row(i).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (i, &u) in trace.iter().enumerate() {
+        if u != hit {
+            assert_eq!(
+                row_bits(&a, i),
+                row_bits(&b, i),
+                "answer {i} (node {u}) must not see the repair"
+            );
+        }
+    }
+    let mut s = clean.stats().clone();
+    s.store_repairs = chaotic.stats().store_repairs;
+    assert_eq!(&s, chaotic.stats(), "all other counters must match the clean run");
+}
