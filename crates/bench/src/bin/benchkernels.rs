@@ -17,6 +17,9 @@
 //! bytes int8/f16 payloads save. Before timing, the bitwise contract
 //! (`spmm_into` ≡ `spmm_blocked_into` at a fixed non-auto tile) and the
 //! quantization tolerance are asserted on the bench workload itself.
+//! The `grad_fx` row (the exact fixed-point `Xᵀ·dY` fold of training's
+//! backward pass) carries analytic counts, and its gradient-scale inputs
+//! are asserted to keep every block on the fold's `i64` fast path.
 //!
 //! With `--json`, observability stays enabled for the timed phase and a
 //! final line with the single-line [`sgnn_obs::ObsReport`] snapshot is
@@ -30,7 +33,7 @@ use sgnn_graph::spmm::{spmm_into, spmv};
 use sgnn_graph::{generate, CsrGraph};
 use sgnn_linalg::par::{num_threads, par_chunks, set_threads};
 use sgnn_linalg::quant::{qmatmul_bytes, qmatmul_into, QuantMatrix};
-use sgnn_linalg::{simd, DenseMatrix};
+use sgnn_linalg::{reduce, simd, DenseMatrix};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -256,6 +259,36 @@ fn main() {
         seconds: qmm_f16,
         flops: qmm_flops,
         bytes: qmatmul_bytes(&xq16, &wq16) as u64,
+    });
+
+    // --- Exact weight-gradient fold `gW = Xᵀ·dY` (`reduce::grad_fx`) at
+    // training magnitudes: dense `x`, `dy` at gradient scale, so every
+    // block takes the i64 fast path (asserted through its counters).
+    let dy = DenseMatrix::gaussian(n, d, 1e-3, 10);
+    let mut gw = vec![0i128; d * d];
+    sgnn_obs::enable();
+    sgnn_obs::reset();
+    reduce::grad_fx(&x, &dy, &mut gw);
+    let fallback = sgnn_obs::report()
+        .counters
+        .iter()
+        .find(|c| c.name == "linalg.grad_fx.fallback_blocks")
+        .map_or(0, |c| c.value);
+    if !obs_json {
+        sgnn_obs::disable();
+    }
+    assert_eq!(fallback, 0, "grad_fx bench input left the fast-path bound");
+    let grad_t = time_median(rounds, || {
+        gw.fill(0);
+        reduce::grad_fx(black_box(&x), black_box(&dy), &mut gw);
+    });
+    kernels.push(Kernel {
+        name: "grad_fx",
+        seconds: grad_t,
+        // One multiply and one add per term; both operands read once, the
+        // i128 accumulator read and written once.
+        flops: (2 * n * d * d) as u64,
+        bytes: (4 * 2 * n * d + 32 * d * d) as u64,
     });
 
     // --- Report. ---

@@ -8,7 +8,7 @@
 //!
 //! | class | matched by | band |
 //! |---|---|---|
-//! | analytic counts | `flops`, `bytes_moved`, `*_bytes*`, `*vectors*`, `*_slots`, `*stale*`, `cache_hits/misses/evictions`, `store_hits`, `plan_*`, `requests`, `shed`, `degraded`, `deadline_miss`, `breaker_*`, `store_repairs`, `edge_touches_mean`, `pushes_mean` | exact (bit-deterministic work/comm/replay models) |
+//! | analytic counts | `flops`, `bytes_moved`, `*bytes*` (except rates), `*vectors*`, `*_slots`, `*stale*`, `cache_hits/misses/evictions`, `store_hits`, `plan_*`, `requests`, `shed`, `degraded`, `deadline_miss`, `breaker_*`, `store_repairs`, `edge_touches_mean`, `pushes_mean` | exact (bit-deterministic work/comm/replay models) |
 //! | derived ratios | `intensity_*`, `*skew*`, `*_ratio` | relative 1e-6 |
 //! | wall time (lower better) | `*seconds*`, `*_secs*`, `*_sec*`, `*_ns`, `*_us` | fresh ≤ base × `time_ratio`, values under `time_floor` always pass |
 //! | throughput (higher better) | `gflops`, `*_per_sec`, `*speedup*` | fresh ≥ base ÷ `time_ratio` |
@@ -159,6 +159,11 @@ fn classify(path: &str) -> Class {
     if leaf.ends_with("_ratio") {
         return Class::NearExact;
     }
+    // Before the `bytes` rule too: `gbytes_per_sec` is a measured rate,
+    // not an analytic count.
+    if leaf.contains("gflops") || leaf.ends_with("_per_sec") || leaf.contains("speedup") {
+        return Class::HigherBetterRate;
+    }
     if leaf.contains("bytes") || leaf.contains("vectors") || leaf.ends_with("_slots") {
         return Class::ExactCount;
     }
@@ -210,9 +215,6 @@ fn classify(path: &str) -> Class {
     }
     if leaf.contains("err") {
         return Class::ErrorBound;
-    }
-    if leaf.contains("gflops") || leaf.ends_with("_per_sec") || leaf.contains("speedup") {
-        return Class::HigherBetterRate;
     }
     if leaf.contains("seconds") || leaf.contains("secs") || leaf.contains("sec") {
         return Class::LowerBetterTime;
@@ -514,6 +516,120 @@ mod tests {
         let jitter =
             parse(&serving.replace("\"prefetch_hits\": 7", "\"prefetch_hits\": 9")).unwrap();
         assert!(compare(&v, &jitter, &tol()).passed(), "prefetch_hits is not trace-exact");
+    }
+
+    /// Every leaf of the three committed baselines, with the class it is
+    /// meant to have. A leaf added to a baseline must be added here, so
+    /// a new metric cannot land in a class by accident of its name.
+    #[test]
+    fn committed_baseline_leaves_have_their_intended_class() {
+        use Class::*;
+        let intended: &[(&str, Class)] = &[
+            // Roofline rows: analytic work exact, measured time and rates banded.
+            ("flops", ExactCount),
+            ("bytes_moved", ExactCount),
+            ("intensity_flops_per_byte", NearExact),
+            ("seconds", LowerBetterTime),
+            ("gflops", HigherBetterRate),
+            ("gbytes_per_sec", HigherBetterRate),
+            ("dispatch_speedup_vs_scoped", HigherBetterRate),
+            ("quant_max_abs_err_int8", ErrorBound),
+            ("quant_max_abs_err_f16", ErrorBound),
+            // Tiny dispatch timings under `timings_sec`: the leaf carries
+            // no unit, and the values sit below the time floor anyway.
+            ("dispatch_pooled_tiny", Unknown),
+            ("dispatch_scoped_tiny", Unknown),
+            ("dispatch_pooled_tiny_t2", Unknown),
+            ("dispatch_scoped_tiny_t2", Unknown),
+            // Config echoes.
+            ("threads", Ignored),
+            ("simd_f32_lanes", Ignored),
+            ("row_block", Ignored),
+            ("col_block", Ignored),
+            ("k", Ignored),
+            ("fault_injected", Ignored),
+            // Host and workload echoes: ungated, but must stay present.
+            ("threads_hardware", Unknown),
+            ("n", Unknown),
+            ("offered_requests", Unknown),
+            // Serving replay and overload replay: trace-exact.
+            ("requests", ExactCount),
+            ("cache_hits", ExactCount),
+            ("cache_misses", ExactCount),
+            ("cache_evictions", ExactCount),
+            ("store_hits", ExactCount),
+            ("plan_cached", ExactCount),
+            ("plan_full", ExactCount),
+            ("plan_sampled", ExactCount),
+            ("plan_stale", ExactCount),
+            ("shed", ExactCount),
+            ("degraded", ExactCount),
+            ("deadline_miss", ExactCount),
+            ("breaker_trips", ExactCount),
+            ("breaker_state", ExactCount),
+            ("store_repairs", ExactCount),
+            ("edge_touches_mean", ExactCount),
+            ("pushes_mean", ExactCount),
+            // Live, timing- or queue-depth-dependent serving numbers.
+            ("shed_live", Unknown),
+            ("degraded_live", Unknown),
+            ("budget_live_ns", Unknown),
+            ("open_store_hits", Unknown),
+            ("mean_batch", Unknown),
+            // Serving times and rates.
+            ("precompute_secs", LowerBetterTime),
+            ("replay_secs", LowerBetterTime),
+            ("open_secs", LowerBetterTime),
+            ("degraded_secs", LowerBetterTime),
+            ("overload_on_secs", LowerBetterTime),
+            ("overload_off_secs", LowerBetterTime),
+            ("chaos_secs", LowerBetterTime),
+            ("push_us", LowerBetterTime),
+            ("p50_ns", LowerBetterTime),
+            ("p99_ns", LowerBetterTime),
+            ("p999_ns", LowerBetterTime),
+            ("p99_on_ns", LowerBetterTime),
+            ("p99_off_ns", LowerBetterTime),
+            ("queries_per_sec", HigherBetterRate),
+            ("saturation_per_sec", HigherBetterRate),
+            ("offered_per_sec", HigherBetterRate),
+            ("goodput_on_per_sec", HigherBetterRate),
+            ("goodput_off_per_sec", HigherBetterRate),
+            // Sharding: communication volumes are analytic.
+            ("halo_bytes_per_epoch", ExactCount),
+            ("halo_bytes_saved_per_epoch", ExactCount),
+            ("allreduce_bytes_per_epoch", ExactCount),
+            ("analytic_bytes_per_epoch", ExactCount),
+            ("eval_halo_bytes", ExactCount),
+            ("halo_vectors_per_exchange", ExactCount),
+            ("analytic_vectors_per_layer", ExactCount),
+            ("replication_slots", ExactCount),
+            ("stale_hits", ExactCount),
+            ("nnz_skew", NearExact),
+            ("bytes_saved_ratio", NearExact),
+            ("edge_cut", Unknown),
+            ("epoch_secs", LowerBetterTime),
+            ("single_process_epoch_secs", LowerBetterTime),
+            ("overlap_ns", LowerBetterTime),
+            ("final_loss", ErrorBound),
+            ("loss_delta", ErrorBound),
+        ];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines");
+        let mut seen = 0;
+        for file in ["BENCH_kernels.json", "BENCH_serve.json", "BENCH_sharding.json"] {
+            let text = std::fs::read_to_string(format!("{dir}/{file}")).expect("read baseline");
+            for path in flatten(&parse(&text).expect("parse baseline")).keys() {
+                let leaf = path.rsplit('.').next().unwrap_or(path);
+                let want = intended
+                    .iter()
+                    .find(|(name, _)| *name == leaf)
+                    .unwrap_or_else(|| panic!("{file}: leaf `{path}` has no intended class"))
+                    .1;
+                assert_eq!(classify(path), want, "{file}: {path}");
+                seen += 1;
+            }
+        }
+        assert!(seen > 100, "baselines were read ({seen} leaves)");
     }
 
     #[test]

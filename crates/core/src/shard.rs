@@ -66,6 +66,7 @@ use sgnn_nn::layers::Dropout;
 use sgnn_nn::loss::{loss_from_fx, xent_grad_row, xent_softmaxed_row_fx};
 use sgnn_obs::Phase;
 use sgnn_partition::{Partition, ShardPlan};
+use std::sync::Mutex;
 use std::time::Instant;
 
 static HALO_BYTES: sgnn_obs::Counter = sgnn_obs::Counter::new("comm.halo_bytes");
@@ -170,26 +171,26 @@ struct Comm {
     allreduce_bytes: u64,
 }
 
-/// Fixed-order tree allreduce over per-shard fixed-point partials:
-/// stride-doubling pairwise merges (`s ← s + gap`, gap = 1, 2, 4, …),
-/// the classic recursive-halving schedule. Exactness of the `i128`
-/// combine means the tree shape cannot affect the result; the fixed
-/// order makes the traffic pattern auditable and the byte count
-/// deterministic.
-fn tree_allreduce(mut parts: Vec<Vec<i128>>, bytes: &mut u64) -> Vec<i128> {
-    let k = parts.len();
+/// Fixed-order tree allreduce over per-shard fixed-point partials, held
+/// as `k` equal rows of the flat buffer `parts`: stride-doubling
+/// pairwise merges (`s ← s + gap`, gap = 1, 2, 4, …), the classic
+/// recursive-halving schedule, in place, leaving the total in row 0.
+/// Exactness of the `i128` combine means the tree shape cannot affect
+/// the result; the fixed order makes the traffic pattern auditable and
+/// the byte count deterministic.
+fn tree_allreduce(parts: &mut [i128], k: usize, bytes: &mut u64) {
+    let width = parts.len() / k;
     let mut gap = 1;
     while gap < k {
         let mut s = 0;
         while s + gap < k {
-            let src = std::mem::take(&mut parts[s + gap]);
-            *bytes += (src.len() * std::mem::size_of::<i128>()) as u64;
-            merge_fx(&mut parts[s], &src);
+            let (dst, src) = parts.split_at_mut((s + gap) * width);
+            *bytes += (width * std::mem::size_of::<i128>()) as u64;
+            merge_fx(&mut dst[s * width..(s + 1) * width], &src[..width]);
             s += 2 * gap;
         }
         gap *= 2;
     }
-    parts.into_iter().next().expect("at least one shard")
 }
 
 /// Bounded-retry budget for a checksum-failed halo exchange.
@@ -246,6 +247,11 @@ struct Runtime<'a> {
     /// True while an evaluation pass runs, routing exchange latency to
     /// `comm.eval_halo_exchange.ns` instead of the training histogram.
     in_eval: bool,
+    /// Backward scratch per layer, reused every epoch: the fixed-point
+    /// `gW`/`gb` partials (`k` rows of `d_in·d_out + d_out` slots, the
+    /// allreduced total landing in row 0) and `Wᵀ`.
+    fx: Vec<Vec<i128>>,
+    wt: Vec<DenseMatrix>,
 }
 
 impl Runtime<'_> {
@@ -775,14 +781,14 @@ impl Runtime<'_> {
         let mut loss_parts = Vec::with_capacity(parts.len());
         let mut dls = Vec::with_capacity(parts.len());
         for (a, d) in parts {
-            loss_parts.push(vec![a]);
+            loss_parts.push(a);
             dls.push(d);
         }
         let mut bytes = 0u64;
-        let total = tree_allreduce(loss_parts, &mut bytes);
+        tree_allreduce(&mut loss_parts, self.plan.k, &mut bytes);
         ALLREDUCE_BYTES.add(bytes);
         self.comm.allreduce_bytes += bytes;
-        (loss_from_fx(total[0], total_w), dls)
+        (loss_from_fx(loss_parts[0], total_w), dls)
     }
 
     /// Backward: mirrored supersteps. Each layer's compute step applies
@@ -801,22 +807,27 @@ impl Runtime<'_> {
     ) {
         let l = self.num_layers();
         let k = self.plan.k;
-        let mut gw_tot: Vec<Vec<i128>> = vec![Vec::new(); l];
-        let mut gb_tot: Vec<Vec<i128>> = vec![Vec::new(); l];
         for i in (0..l).rev() {
             if self.poll_superstep() {
                 return;
             }
             let (d_in, d_out) = (self.dims[i], self.dims[i + 1]);
+            let dw = d_in * d_out;
             let last = i + 1 == l;
-            let wt = gcn.layer(i).w.transpose();
+            gcn.layer(i).w.transpose_into(&mut self.wt[i]);
+            let wt = &self.wt[i];
             let cs = Dropout::call_seed(self.seed.wrapping_add(100 + i as u64), epoch);
             let p = self.p_drop;
             let plan = self.plan;
             let caches = &x_caches[i];
             let masks = if last { None } else { Some(&relu_masks[i]) };
             let g_ref = &g_owned;
-            let results: Vec<(DenseMatrix, Vec<i128>, Vec<i128>)> = par_map_chunks(k, |s| {
+            let fx = &mut self.fx[i];
+            fx.fill(0);
+            // Shard s owns row s (`gW` then `gb`) of the layer's partials.
+            let rows: Vec<Mutex<&mut [i128]>> =
+                fx.chunks_exact_mut(dw + d_out).map(Mutex::new).collect();
+            let d_ahs: Vec<DenseMatrix> = par_map_chunks(k, |s| {
                 let shard = &plan.shards[s];
                 let mut g = g_ref[s].clone();
                 if let Some(masks) = masks {
@@ -835,24 +846,15 @@ impl Runtime<'_> {
                         }
                     }
                 }
-                let mut gw = vec![0i128; d_in * d_out];
-                let mut gb = vec![0i128; d_out];
-                grad_fx(&caches[s], &g, &mut gw);
-                colsum_fx(&g, &mut gb);
-                let d_ah = g.matmul(&wt).expect("linear shapes");
-                (d_ah, gw, gb)
+                let mut row = rows[s].lock().unwrap_or_else(|e| e.into_inner());
+                let (gw, gb) = row.split_at_mut(dw);
+                grad_fx(&caches[s], &g, gw);
+                colsum_fx(&g, gb);
+                g.matmul(wt).expect("linear shapes")
             });
-            let mut d_ahs = Vec::with_capacity(k);
-            let mut gws = Vec::with_capacity(k);
-            let mut gbs = Vec::with_capacity(k);
-            for (d, gw, gb) in results {
-                d_ahs.push(d);
-                gws.push(gw);
-                gbs.push(gb);
-            }
+            drop(rows);
             let mut bytes = 0u64;
-            gw_tot[i] = tree_allreduce(gws, &mut bytes);
-            gb_tot[i] = tree_allreduce(gbs, &mut bytes);
+            tree_allreduce(fx, k, &mut bytes);
             ALLREDUCE_BYTES.add(bytes);
             self.comm.allreduce_bytes += bytes;
             if i > 0 {
@@ -873,8 +875,11 @@ impl Runtime<'_> {
         }
         gcn.zero_grad();
         for i in 0..l {
-            accumulate_fx(gcn.layer_mut(i).gw.data_mut(), &gw_tot[i]);
-            accumulate_fx(gcn.layer_mut(i).gb.data_mut(), &gb_tot[i]);
+            // Row 0 of each layer's partials holds the allreduced total.
+            let (dw, d_out) = (self.dims[i] * self.dims[i + 1], self.dims[i + 1]);
+            let layer = gcn.layer_mut(i);
+            accumulate_fx(layer.gw.data_mut(), &self.fx[i][..dw]);
+            accumulate_fx(layer.gb.data_mut(), &self.fx[i][dw..dw + d_out]);
         }
     }
 
@@ -1085,8 +1090,9 @@ pub fn train_sharded_gcn(
     let dims = layer_dims(ds, cfg);
     let l = dims.len() - 1;
     // Transient: two activations per layer per shard, the fixed-point
-    // partials (k shard copies + 1 reduced), and the parameters
-    // (`step_bytes(0, ·)` is the parameter-only term).
+    // partials (k shard rows per layer, reused every epoch; the charge
+    // keeps one more copy than the in-place allreduce needs), and the
+    // parameters (`step_bytes(0, ·)` is the parameter-only term).
     let acts: usize = plan
         .shards
         .iter()
@@ -1111,7 +1117,6 @@ pub fn train_sharded_gcn(
     let rt = Runtime {
         plan: &plan,
         ctxs: &ctxs,
-        dims,
         p_drop: cfg.dropout,
         seed: cfg.seed,
         total_w: (ds.splits.train.len() as f32).max(1e-12),
@@ -1123,6 +1128,9 @@ pub fn train_sharded_gcn(
         halo_fail: None,
         comm_state,
         in_eval: false,
+        fx: (0..l).map(|i| vec![0i128; k * (dims[i] * dims[i + 1] + dims[i + 1])]).collect(),
+        wt: (0..l).map(|i| DenseMatrix::zeros(dims[i + 1], dims[i])).collect(),
+        dims,
     };
     let mut st = Sharded { gcn, rt, eval_comm: Comm::default(), session_epochs: 0 };
     let report = driver.run(

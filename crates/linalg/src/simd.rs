@@ -18,7 +18,8 @@
 //! [`axpy_f16`]) follow the same rule: integer→float conversions are exact
 //! in both paths, so quantized inference is also bitwise reproducible
 //! across backends (its *error* is relative to f32, not across machines;
-//! see `quant`).
+//! see `quant`). The fixed-point gradient fold ([`fold_fx_i64`]) is
+//! integer arithmetic throughout, so it is exact on every backend too.
 
 /// Name of the backend the f32 kernels will actually run on — used by
 /// `benchkernels` to attribute speedups to lanes honestly.
@@ -225,6 +226,87 @@ pub fn row_gather_q_f16(
 }
 
 // ---------------------------------------------------------------------------
+// Exact fixed-point term fold (the `reduce` i64 fast path)
+// ---------------------------------------------------------------------------
+//
+// `reduce::grad_fx` needs `trunc(x·d·2^60)` per term. An f64 → integer
+// conversion has no AVX2 instruction, so the fold works on the integers
+// instead: a finite f32 is `m·2^e` with a 24-bit mantissa `m`, the term
+// is `m_x·m_d·2^(e_x+e_d+60)`, and `trunc` of it is the 48-bit mantissa
+// product shifted right (lanes of `_mm256_mul_epu32` and `_srlv_epi64`),
+// then signed. [`fx_pack`] lays out `d` once per row block so the
+// inner loop is integer ops only.
+
+/// `part[j] += trunc(x_k · d_kj · 2^60)` (wrapping) over the rows `k` of
+/// one block: `packed` holds `xb.len()` rows of `part.len()` words made by
+/// [`fx_pack`]. Zero `x_k` are skipped. Each term equals
+/// `reduce::fx(x_k · d_kj) as i64` whenever both factors are finite and
+/// `|x_k · d_kj| < 2^-3` — the bound `reduce` checks per block; other
+/// inputs give unspecified (but backend-independent) values. Bitwise
+/// identical to [`scalar::fold_fx_i64`].
+#[inline]
+pub fn fold_fx_i64(xb: &[f32], packed: &[u64], part: &mut [i64]) {
+    debug_assert_eq!(packed.len(), xb.len() * part.len());
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2() {
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { x86::fold_fx_i64(xb, packed, part) };
+    }
+    #[allow(unreachable_code)]
+    scalar::fold_fx_i64(xb, packed, part)
+}
+
+/// Offset of the packed shift field: a term's right shift is
+/// `shift(d) + shift(x) − FX_SHIFT_OFFSET` (see [`fx_pack`]).
+const FX_SHIFT_OFFSET: u64 = 467;
+
+/// Packs an `f32` for [`fold_fx_i64`]. Writing a nonzero finite value as
+/// `m·2^e` with `2^23 ≤ m < 2^24` (subnormals normalized), the word holds
+/// `m << 7` in bits 0–31, `211 − e` in bits 32–41 (106…383 for finite
+/// values) and the sign in bit 63; ±0 packs to its sign bit alone.
+///
+/// For a term `x·d`, `p = (m_x << 8)·(m_d << 7) = m_x·m_d·2^15 < 2^63`
+/// and `|x·d·2^60| = p·2^(e_x+e_d+45)`, so `trunc` of it is `p` shifted
+/// right by `r = −45 − e_x − e_d = (211 − e_d) + (211 − e_x) − 467`.
+/// Under the fast-path bound `|x·d·2^60| < 2^57` and `m_x·m_d ≥ 2^46`
+/// give `r ≥ 5`; `r ≥ 64` means the term truncates to 0.
+#[inline]
+pub fn fx_pack(v: f32) -> u64 {
+    let bits = v.to_bits();
+    let sign = u64::from(bits >> 31) << 63;
+    let mag = bits & 0x7fff_ffff;
+    if mag == 0 {
+        return sign;
+    }
+    let (m, e) = if mag < 0x80_0000 {
+        let sh = mag.leading_zeros() - 8;
+        (mag << sh, -149 - sh as i64)
+    } else {
+        (mag & 0x7f_ffff | 0x80_0000, (mag >> 23) as i64 - 150)
+    };
+    sign | ((211 - e) as u64) << 32 | u64::from(m) << 7
+}
+
+/// The per-row factors of `x` in a fold: mantissa `m_x << 8`, its
+/// shift field less [`FX_SHIFT_OFFSET`], and an all-ones sign mask.
+#[inline]
+fn fx_row_factors(x: f32) -> (u64, u64, i64) {
+    let p = fx_pack(x);
+    ((p & 0xffff_ffff) << 1, FX_SHIFT_OFFSET - ((p >> 32) & 0x3ff), p as i64 >> 63)
+}
+
+/// One term of the fold: `trunc(x·d·2^60)` from `x`'s row factors and
+/// `d`'s packed word (shift counts ≥ 64, or negative ones from inputs
+/// outside the bound, give 0, as `_mm256_srlv_epi64` does).
+#[inline]
+fn fx_term(mx: u64, off: u64, sx: i64, d: u64) -> i64 {
+    let r = ((d >> 32) & 0x3ff).wrapping_sub(off);
+    let q = u32::try_from(r).ok().and_then(|r| ((d & 0xffff_ffff) * mx).checked_shr(r));
+    let neg = (d as i64 >> 63) ^ sx;
+    (q.unwrap_or(0) as i64 ^ neg).wrapping_sub(neg)
+}
+
+// ---------------------------------------------------------------------------
 // Scalar reference kernels
 // ---------------------------------------------------------------------------
 
@@ -322,6 +404,20 @@ pub mod scalar {
             axpy_f32(w, &xd[v as usize * d + col_off..][..tw], out);
         }
     }
+
+    /// `part[j] += trunc(x_k · d_kj · 2^60)` (wrapping) over one block.
+    #[inline]
+    pub fn fold_fx_i64(xb: &[f32], packed: &[u64], part: &mut [i64]) {
+        for (&x, row) in xb.iter().zip(packed.chunks_exact(part.len().max(1))) {
+            if x == 0.0 {
+                continue;
+            }
+            let (mx, off, sx) = super::fx_row_factors(x);
+            for (p, &d) in part.iter_mut().zip(row) {
+                *p = p.wrapping_add(super::fx_term(mx, off, sx, d));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -416,6 +512,43 @@ mod x86 {
             i += 4;
         }
         scalar::axpy_f64(alpha, &x[i..], &mut y[i..]);
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fold_fx_i64(xb: &[f32], packed: &[u64], part: &mut [i64]) {
+        let n = part.len();
+        let field = _mm256_set1_epi64x(0x3ff);
+        let zero = _mm256_setzero_si256();
+        for (&x, row) in xb.iter().zip(packed.chunks_exact(n.max(1))) {
+            if x == 0.0 {
+                continue;
+            }
+            let (mx, off, sx) = super::fx_row_factors(x);
+            let (mxv, offv, sxv) = (
+                _mm256_set1_epi64x(mx as i64),
+                _mm256_set1_epi64x(off as i64),
+                _mm256_set1_epi64x(sx),
+            );
+            // SAFETY (loads and stores below): `j + 4 <= n`, and `n` is the
+            // length of `part` and of `row`.
+            let mut j = 0;
+            while j + 4 <= n {
+                let d = _mm256_loadu_si256(row.as_ptr().add(j) as *const __m256i);
+                let q = _mm256_mul_epu32(d, mxv);
+                let r = _mm256_sub_epi64(_mm256_and_si256(_mm256_srli_epi64(d, 32), field), offv);
+                let q = _mm256_srlv_epi64(q, r);
+                let neg = _mm256_xor_si256(_mm256_cmpgt_epi64(zero, d), sxv);
+                let t = _mm256_sub_epi64(_mm256_xor_si256(q, neg), neg);
+                let acc = part.as_mut_ptr().add(j) as *mut __m256i;
+                _mm256_storeu_si256(acc, _mm256_add_epi64(_mm256_loadu_si256(acc), t));
+                j += 4;
+            }
+            for (p, &d) in part[j..].iter_mut().zip(&row[j..]) {
+                *p = p.wrapping_add(super::fx_term(mx, off, sx, d));
+            }
+        }
     }
 
     /// # Safety

@@ -19,6 +19,11 @@ pub struct Linear {
     /// Bias gradient.
     pub gb: DenseMatrix,
     cache_x: Option<DenseMatrix>,
+    /// Backward scratch, reused across calls: the fixed-point `gW`/`gb`
+    /// partials and `Wᵀ`. Empty until the first backward.
+    gw_fx: Vec<i128>,
+    gb_fx: Vec<i128>,
+    wt: DenseMatrix,
 }
 
 impl Linear {
@@ -30,6 +35,9 @@ impl Linear {
             gw: DenseMatrix::zeros(in_dim, out_dim),
             gb: DenseMatrix::zeros(1, out_dim),
             cache_x: None,
+            gw_fx: Vec::new(),
+            gb_fx: Vec::new(),
+            wt: DenseMatrix::default(),
         }
     }
 
@@ -92,13 +100,17 @@ impl Linear {
     /// no such treatment.
     pub fn backward(&mut self, dy: &DenseMatrix) -> DenseMatrix {
         let x = self.cache_x.as_ref().expect("backward before forward");
-        let mut gw_fx = vec![0i128; self.w.rows() * self.w.cols()];
-        let mut gb_fx = vec![0i128; self.b.cols()];
-        reduce::grad_fx(x, dy, &mut gw_fx);
-        reduce::colsum_fx(dy, &mut gb_fx);
-        reduce::accumulate_fx(self.gw.data_mut(), &gw_fx);
-        reduce::accumulate_fx(self.gb.data_mut(), &gb_fx);
-        dy.matmul(&self.w.transpose()).expect("shapes fixed")
+        self.gw_fx.clear();
+        self.gw_fx.resize(self.w.rows() * self.w.cols(), 0);
+        self.gb_fx.clear();
+        self.gb_fx.resize(self.b.cols(), 0);
+        reduce::grad_fx(x, dy, &mut self.gw_fx);
+        reduce::colsum_fx(dy, &mut self.gb_fx);
+        reduce::accumulate_fx(self.gw.data_mut(), &self.gw_fx);
+        reduce::accumulate_fx(self.gb.data_mut(), &self.gb_fx);
+        self.wt.reshape_scratch(self.w.cols(), self.w.rows());
+        self.w.transpose_into(&mut self.wt);
+        dy.matmul(&self.wt).expect("shapes fixed")
     }
 
     /// Clears accumulated gradients.
