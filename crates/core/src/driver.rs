@@ -12,7 +12,8 @@
 //!    span, the body, the early-stopping validation eval (when
 //!    `patience` is set), the rolling checkpoint (when `ckpt_dir` is
 //!    set) and `mark_epoch`;
-//! 3. the final val/test eval, `export_now` and the [`TrainReport`].
+//! 3. the final val/test eval (under a root `trainer.eval` span),
+//!    `export_now` and the [`TrainReport`].
 //!
 //! Memory: trainers charge their resident set to [`Driver::ledger`]
 //! before `run`, and each mini-batch body charges every batch's
@@ -24,6 +25,7 @@ use crate::error::{TrainError, TrainResult};
 use crate::memory::Ledger;
 use crate::models::decoupled::DecoupledModel;
 use crate::models::gcn::{Gcn, GcnConfig};
+use crate::models::sage::Sage;
 use crate::pipeline::BatchPipeline;
 use crate::trainer::{TrainConfig, TrainReport};
 use sgnn_data::Dataset;
@@ -167,7 +169,12 @@ impl<'c> Driver<'c> {
             }
         }
         let train_secs = t1.elapsed().as_secs_f64();
-        let (val_acc, test_acc) = eval(state, true)?;
+        // Spanned under the per-epoch eval's name, but charged to no
+        // phase: `PhaseBreakdown` covers the epoch loop only.
+        let (val_acc, test_acc) = {
+            let _sp = sgnn_obs::span!(Phase::Eval.span_name());
+            eval(state, true)?
+        };
         sgnn_obs::export_now();
         Ok(TrainReport {
             name,
@@ -276,6 +283,14 @@ impl Epoch<'_> {
     }
 }
 
+/// Refuses a zero `value` for the config field `what`.
+pub(crate) fn positive(what: &str, value: usize) -> TrainResult<()> {
+    if value == 0 {
+        return Err(TrainError::InvalidInput(format!("{what} must be positive")));
+    }
+    Ok(())
+}
+
 pub(crate) fn rows_of(nodes: &[NodeId]) -> Vec<usize> {
     nodes.iter().map(|&u| u as usize).collect()
 }
@@ -311,19 +326,19 @@ pub(crate) fn logits_accuracy(ds: &Dataset, logits: &DenseMatrix, test: bool) ->
     })
 }
 
-/// Accuracy over `nodes`, scored 1024 at a time by `logits_of`.
-pub(crate) fn chunked_accuracy(
-    ds: &Dataset,
-    nodes: &[NodeId],
-    mut logits_of: impl FnMut(&[NodeId]) -> DenseMatrix,
-) -> f64 {
-    let mut correct = 0usize;
-    for chunk in nodes.chunks(1024) {
-        let labels = ds.labels_of(chunk);
-        let preds = logits_of(chunk).argmax_rows();
-        correct += preds.iter().zip(&labels).filter(|&(p, t)| p == t).count();
-    }
-    correct as f64 / nodes.len().max(1) as f64
+/// `(val, test)` accuracy of `sage` from one [`Sage::forward_full`]
+/// call over val, followed by test when `test` is set, so the two splits
+/// share the layers their receptive fields have in common.
+pub(crate) fn sage_accuracy(ds: &Dataset, sage: &Sage, test: bool) -> (f64, f64) {
+    let val = &ds.splits.val[..];
+    let tst = if test { &ds.splits.test[..] } else { &[] };
+    let preds = sage.forward_full(&ds.graph, &ds.features, &[val, tst].concat()).argmax_rows();
+    let score = |preds: &[usize], nodes: &[NodeId]| {
+        let hits = preds.iter().zip(nodes).filter(|&(&p, &u)| p == ds.labels[u as usize]).count();
+        hits as f64 / nodes.len().max(1) as f64
+    };
+    let (pv, pt) = preds.split_at(val.len());
+    (score(pv, val), if test { score(pt, tst) } else { 0.0 })
 }
 
 /// Training-split membership, indexed by node id.

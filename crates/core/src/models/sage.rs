@@ -4,22 +4,72 @@
 //! `S(u)` is whatever the block's sampler chose (node-wise, LADIES, or
 //! LABOR — the model is sampler-agnostic; it just consumes
 //! [`Block`](sgnn_sample::Block) stacks).
+//!
+//! Evaluation does not sample: [`Sage::forward_full`] runs one layer at a
+//! time over full neighbourhoods, computing each node of the requested
+//! nodes' receptive field once.
 
-use sgnn_linalg::DenseMatrix;
+use sgnn_graph::{CsrGraph, NodeId};
+use sgnn_linalg::{par, vecops, DenseMatrix};
 use sgnn_nn::layers::{Linear, ReLU};
 use sgnn_nn::optim::Optimizer;
 use sgnn_sample::Block;
 
-struct SageLayer {
-    lin_self: Linear,
-    lin_neigh: Linear,
-    relu: ReLU,
+/// Output rows per tile of [`Sage::forward_full`]. A tile gathers its
+/// self rows and neighbour means into two `EVAL_TILE × width` scratch
+/// matrices, so the scratch stays fixed however large a layer is.
+pub const EVAL_TILE: usize = 2048;
+
+pub(crate) struct SageLayer {
+    pub(crate) lin_self: Linear,
+    pub(crate) lin_neigh: Linear,
+    pub(crate) relu: ReLU,
     is_last: bool,
+}
+
+impl SageLayer {
+    /// This layer's output rows for `tile`, reading input rows of `h`
+    /// through `row_of` (global id → row).
+    fn infer_tile(
+        &self,
+        g: &CsrGraph,
+        h: &DenseMatrix,
+        row_of: &(impl Fn(NodeId) -> usize + Sync),
+        tile: &[NodeId],
+        self_t: &mut DenseMatrix,
+        agg_t: &mut DenseMatrix,
+    ) -> DenseMatrix {
+        let d = h.cols();
+        self_t.reshape_scratch(tile.len(), d);
+        agg_t.reshape_scratch(tile.len(), d);
+        for (i, &u) in tile.iter().enumerate() {
+            self_t.row_mut(i).copy_from_slice(h.row(row_of(u)));
+        }
+        if d > 0 {
+            par::par_rows_mut(agg_t.data_mut(), d, 64, |first, rows| {
+                for (i, row) in rows.chunks_mut(d).enumerate() {
+                    row.fill(0.0);
+                    let neigh = g.neighbors(tile[first + i]);
+                    let w = 1.0 / neigh.len() as f32;
+                    for &v in neigh {
+                        vecops::axpy(w, h.row(row_of(v)), row);
+                    }
+                }
+            });
+        }
+        let mut z = self.lin_self.forward_inference(self_t);
+        z.add_scaled(1.0, &self.lin_neigh.forward_inference(agg_t)).expect("shapes fixed");
+        if self.is_last {
+            z
+        } else {
+            self.relu.forward_inference(&z)
+        }
+    }
 }
 
 /// A GraphSAGE model: one [`SageLayer`] per sampled block.
 pub struct Sage {
-    layers: Vec<SageLayer>,
+    pub(crate) layers: Vec<SageLayer>,
     // Per-layer caches for backward: (h_src, block dims).
     cache: Vec<CacheEntry>,
 }
@@ -87,6 +137,78 @@ impl Sage {
             h = if layer.is_last { z } else { layer.relu.forward_inference(&z) };
         }
         h
+    }
+
+    /// Full-neighbour inference for `nodes`: row `i` of the result is
+    /// the output for `nodes[i]`. `x` holds one feature row per node of
+    /// `g`.
+    ///
+    /// Layer `ℓ` of `L` runs once for each node within `L − 1 − ℓ` hops
+    /// of `nodes` (the last layer for `nodes` themselves), however much
+    /// their neighbourhoods overlap. A node's neighbour half is the mean
+    /// over *all* its neighbours: weight `1 / deg` per edge, in CSR
+    /// order, accumulated by `axpy` into a zeroed row. That is the block
+    /// the node-wise sampler builds when `deg ≤ fanout`, so where no
+    /// node of the receptive field has a degree above the fanout the
+    /// output equals [`forward_inference`](Self::forward_inference) over
+    /// sampled blocks bit for bit. Inputs are read by global id, features
+    /// straight from `x`, so at most two layer outputs and the tile
+    /// scratch are alive at once.
+    pub fn forward_full(&self, g: &CsrGraph, x: &DenseMatrix, nodes: &[NodeId]) -> DenseMatrix {
+        let (n, depth) = (g.num_nodes(), self.layers.len());
+        assert_eq!(x.rows(), n, "one feature row per node");
+        // Hop distance from `nodes`, up to `depth − 1`; farther is MAX.
+        let mut hops = vec![u32::MAX; n];
+        let mut frontier: Vec<NodeId> = Vec::new();
+        for &u in nodes {
+            if hops[u as usize] == u32::MAX {
+                hops[u as usize] = 0;
+                frontier.push(u);
+            }
+        }
+        for hop in 1..depth as u32 {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                for &v in g.neighbors(u) {
+                    if hops[v as usize] == u32::MAX {
+                        hops[v as usize] = hop;
+                        next.push(v);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        // Row of each node in the previous layer's output.
+        let mut pos = vec![0u32; n];
+        let mut prev: Option<DenseMatrix> = None;
+        let (mut self_t, mut agg_t) = (DenseMatrix::default(), DenseMatrix::default());
+        for (l, layer) in self.layers.iter().enumerate() {
+            let reach = (depth - 1 - l) as u32;
+            let owned: Vec<NodeId>;
+            let rows = if layer.is_last {
+                nodes
+            } else {
+                owned = (0..n as NodeId).filter(|&u| hops[u as usize] <= reach).collect();
+                &owned
+            };
+            let input = prev.as_ref().unwrap_or(x);
+            let from_prev = prev.is_some();
+            let row_of = |v: NodeId| if from_prev { pos[v as usize] as usize } else { v as usize };
+            let width = layer.lin_self.out_dim();
+            let mut out = DenseMatrix::zeros(rows.len(), width);
+            for (t, tile) in rows.chunks(EVAL_TILE).enumerate() {
+                let z = layer.infer_tile(g, input, &row_of, tile, &mut self_t, &mut agg_t);
+                let start = t * EVAL_TILE * width;
+                out.data_mut()[start..start + z.data().len()].copy_from_slice(z.data());
+            }
+            if !layer.is_last {
+                for (i, &u) in rows.iter().enumerate() {
+                    pos[u as usize] = i as u32;
+                }
+            }
+            prev = Some(out);
+        }
+        prev.expect("Sage has at least one layer")
     }
 
     /// Backward through the same block stack.

@@ -14,7 +14,7 @@
 //! epoch loop, checkpoints and memory rules live in `crate::driver`.
 
 use crate::driver::{
-    chunked_accuracy, layer_dims, logits_accuracy, new_gcn, rows_of, split_scores, Driver,
+    layer_dims, logits_accuracy, new_gcn, positive, rows_of, sage_accuracy, split_scores, Driver,
     TrainMask,
 };
 use crate::error::{TrainError, TrainResult};
@@ -234,9 +234,10 @@ pub enum SamplerKind {
 }
 
 impl SamplerKind {
-    fn layers(&self) -> usize {
+    /// Fanouts or layer sizes, one per layer.
+    fn sizes(&self) -> &[usize] {
         match self {
-            SamplerKind::NodeWise(f) | SamplerKind::LayerWise(f) | SamplerKind::Labor(f) => f.len(),
+            SamplerKind::NodeWise(f) | SamplerKind::LayerWise(f) | SamplerKind::Labor(f) => f,
         }
     }
 
@@ -257,18 +258,25 @@ impl SamplerKind {
 }
 
 /// Trains a sampled GraphSAGE model with the given sampler. The sampler
-/// needs one fanout (or layer size) per layer, `hidden.len() + 1`.
+/// needs one positive fanout (or layer size) per layer, `hidden.len() + 1`,
+/// and `batch_size` must be positive. Evaluation is layer-wise over full
+/// neighbourhoods ([`Sage::forward_full`]), whatever the sampler.
 pub fn train_sampled(
     ds: &Dataset,
     sampler: &SamplerKind,
     cfg: &TrainConfig,
 ) -> TrainResult<(Sage, TrainReport)> {
-    if sampler.layers() != cfg.hidden.len() + 1 {
+    let sizes = sampler.sizes();
+    if sizes.len() != cfg.hidden.len() + 1 {
         return Err(TrainError::InvalidInput(format!(
             "{} fanouts for {} layers",
-            sampler.layers(),
+            sizes.len(),
             cfg.hidden.len() + 1
         )));
+    }
+    positive("batch_size", cfg.batch_size)?;
+    for &size in sizes {
+        positive("fanout", size)?;
     }
     let mut driver = Driver::new(cfg, ds)?;
     driver.ledger.try_alloc(ds.features.nbytes())?; // feature store stays host-side resident
@@ -318,20 +326,7 @@ pub fn train_sampled(
                 },
             )
         },
-        |sage, test| {
-            // Evaluate with wide fanouts for near-exact aggregation.
-            let wide = vec![25usize; sampler.layers()];
-            Ok(split_scores(ds, test, |nodes| {
-                chunked_accuracy(ds, nodes, |chunk| {
-                    let blocks =
-                        sgnn_sample::node_wise::sample_blocks(&ds.graph, chunk, &wide, 123_456);
-                    sage.forward_inference(
-                        &blocks,
-                        &ds.features.gather_rows(&rows_of(&blocks[0].src)),
-                    )
-                })
-            }))
-        },
+        |sage, test| Ok(sage_accuracy(ds, sage, test)),
     )?;
     Ok((sage, report))
 }

@@ -8,19 +8,17 @@
 //! coarse summary layer every batch can reach.
 
 use crate::driver::{
-    chunked_accuracy, logits_accuracy, new_gcn, rows_of, split_scores, Checkpointed, Driver,
-    TrainMask,
+    logits_accuracy, new_gcn, positive, rows_of, sage_accuracy, Driver, TrainMask,
 };
 use crate::error::TrainResult;
 use crate::memory::matrix_bytes;
 use crate::models::gcn::gcn_operator;
+use crate::models::sage::{Sage, SageLayer};
 use crate::trainer::{TrainConfig, TrainReport};
 use sgnn_data::Dataset;
 use sgnn_graph::NodeId;
 use sgnn_linalg::DenseMatrix;
-use sgnn_nn::layers::{Linear, ReLU};
 use sgnn_nn::loss::softmax_cross_entropy;
-use sgnn_nn::optim::Optimizer;
 use sgnn_obs::Phase;
 use sgnn_sample::node_wise::sample_blocks;
 use sgnn_sample::HistoryCache;
@@ -35,31 +33,22 @@ pub struct HistoryStats {
     pub mean_age: f64,
 }
 
-/// The history trainer's two SAGE-style layers (`self` and `neigh`
-/// halves). Its cache and shuffle order are not checkpointed, so it has no
-/// restorable state.
-struct HistoryNet {
-    self1: Linear,
-    neigh1: Linear,
-    relu1: ReLU,
-    self2: Linear,
-    neigh2: Linear,
-}
-
-impl Checkpointed for HistoryNet {}
-
 /// Trains a 2-layer GNN where the second layer's out-of-batch inputs come
 /// from a historical-embedding cache instead of recursive sampling.
 ///
 /// The computation graph per batch is **one** sampled hop regardless of
 /// depth; the price is staleness, which the returned [`HistoryStats`]
-/// quantifies. The cache is not checkpointed, so a set `ckpt_dir` or
-/// `resume_from` is refused.
+/// quantifies. The model is a two-layer [`Sage`], evaluated layer-wise
+/// over full neighbourhoods like [`crate::trainer::train_sampled`]'s.
+/// The cache is not checkpointed, so a set `ckpt_dir` or `resume_from`
+/// is refused. `fanout` and `batch_size` must be positive.
 pub fn train_history(
     ds: &Dataset,
     fanout: usize,
     cfg: &TrainConfig,
 ) -> TrainResult<(TrainReport, HistoryStats)> {
+    positive("fanout", fanout)?;
+    positive("batch_size", cfg.batch_size)?;
     let mut driver = Driver::without_checkpoints(cfg, ds, "history-cache")?;
     let hidden = *cfg.hidden.first().unwrap_or(&32);
     let d = ds.feature_dim();
@@ -68,13 +57,7 @@ pub fn train_history(
     let cache = HistoryCache::new(n, hidden);
     driver.ledger.try_alloc(cache.nbytes())?;
     // Layer 1: features → hidden; layer 2: hidden → classes.
-    let mut net = HistoryNet {
-        self1: Linear::new(d, hidden, cfg.seed),
-        neigh1: Linear::new(d, hidden, cfg.seed + 1),
-        relu1: ReLU::new(),
-        self2: Linear::new(hidden, ds.num_classes, cfg.seed + 2),
-        neigh2: Linear::new(hidden, ds.num_classes, cfg.seed + 3),
-    };
+    let mut sage = Sage::new(&[d, hidden, ds.num_classes], cfg.seed);
     let mask = TrainMask::new(ds);
     let (mut iter, mut fetches, mut hits, mut age_sum) = (0u64, 0u64, 0u64, 0f64);
     // Aggregation scratch reused across every batch of every epoch.
@@ -86,9 +69,8 @@ pub fn train_history(
     let report = driver.run(
         "history-cache".into(),
         0.0,
-        &mut net,
-        |net, ep| {
-            let HistoryNet { self1, neigh1, relu1, self2, neigh2 } = net;
+        &mut sage,
+        |sage, ep| {
             let epoch = ep.index;
             // Deterministic reshuffle per epoch.
             let mut rng = sgnn_linalg::rng::seeded(cfg.seed.wrapping_add(epoch as u64));
@@ -128,6 +110,9 @@ pub fn train_history(
                             + matrix_bytes(block.num_dst(), hidden),
                     )?;
                 }
+                let [l1, l2] = &mut sage.layers[..] else { unreachable!("two layers") };
+                let SageLayer { lin_self: self1, lin_neigh: neigh1, relu: relu1, .. } = l1;
+                let SageLayer { lin_self: self2, lin_neigh: neigh2, .. } = l2;
                 let (h1_batch, logits) = ep.phases.time(Phase::Forward, || {
                     agg1.reshape_scratch(b1.num_dst(), x_src1.cols());
                     b1.aggregate_into(&x_src1, &mut agg1);
@@ -175,44 +160,13 @@ pub fn train_history(
                     let _ = neigh1.backward(&d_z1);
                 });
                 let opt = &mut *ep.opt;
-                ep.phases.time(Phase::Step, || {
-                    let mut slot = 0usize;
-                    for l in [&mut *self1, &mut *neigh1, &mut *self2, &mut *neigh2] {
-                        l.visit_params(&mut |p, g| {
-                            opt.update(slot, p, g);
-                            slot += 1;
-                        });
-                    }
-                    opt.step_done();
-                });
+                ep.phases.time(Phase::Step, || sage.step(opt));
                 // Refresh the cache with this batch's fresh activations.
                 cache.push_batch(chunk, iter, &h1_batch);
             }
             Ok(loss)
         },
-        |net, test| {
-            // Inference: exact 2-hop with wide fanout (no cache).
-            Ok(split_scores(ds, test, |nodes| {
-                chunked_accuracy(ds, nodes, |chunk| {
-                    let blocks = sample_blocks(&ds.graph, chunk, &[25, 25], 777);
-                    // Layer 1 over the inner block.
-                    let inner = &blocks[0];
-                    let x_in = ds.features.gather_rows(&rows_of(&inner.src));
-                    let agg1 = inner.aggregate(&x_in);
-                    let x_dst = ds.features.gather_rows(&rows_of(&inner.dst));
-                    let mut z1 = net.self1.forward_inference(&x_dst);
-                    z1.add_scaled(1.0, &net.neigh1.forward_inference(&agg1)).expect("shapes");
-                    let h1 = net.relu1.forward_inference(&z1);
-                    // Layer 2 over the outer block.
-                    let outer = &blocks[1];
-                    let agg2 = outer.aggregate(&h1);
-                    let h1_batch = h1.gather_rows(&(0..outer.num_dst()).collect::<Vec<_>>());
-                    let mut logits = net.self2.forward_inference(&h1_batch);
-                    logits.add_scaled(1.0, &net.neigh2.forward_inference(&agg2)).expect("shapes");
-                    logits
-                })
-            }))
-        },
+        |sage, test| Ok(sage_accuracy(ds, sage, test)),
     )?;
     let stats = HistoryStats {
         hit_rate: hits as f64 / fetches.max(1) as f64,

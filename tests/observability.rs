@@ -81,6 +81,36 @@ fn trace_file_is_wellformed_jsonl_with_expected_spans() {
     assert!(names.contains(&"trainer.epoch"), "aggregated spans: {names:?}");
 }
 
+/// The final val/test evaluation runs after the last epoch under one
+/// root `trainer.eval` span: a traced sampled run has exactly one, with
+/// nonzero time, while the early-stopping evals stay inside
+/// `trainer.epoch`.
+#[test]
+fn final_eval_is_one_root_trainer_eval_span() {
+    let _g = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    route_trace_to_temp();
+    sgnn::obs::enable_trace();
+    sgnn::obs::reset();
+    let ds = sgnn::data::sbm_dataset(400, 3, 8.0, 0.85, 8, 0.6, 0, 0.5, 0.25, 5);
+    let cfg = sgnn::core::trainer::TrainConfig {
+        epochs: 2,
+        hidden: vec![8],
+        patience: Some(100),
+        ..Default::default()
+    };
+    let sampler = sgnn::core::trainer::SamplerKind::NodeWise(vec![4, 4]);
+    sgnn::core::trainer::train_sampled(&ds, &sampler, &cfg).unwrap();
+    let obs = sgnn::obs::report();
+    sgnn::obs::disable();
+    let roots: Vec<_> = obs.spans.iter().filter(|s| s.name == "trainer.eval").collect();
+    assert_eq!(roots.len(), 1, "root spans: {:?}", obs.spans);
+    assert_eq!(roots[0].count, 1, "final eval closes once");
+    assert!(roots[0].total_ns > 0);
+    let epoch = obs.spans.iter().find(|s| s.name == "trainer.epoch").expect("epoch span");
+    let in_loop = epoch.children.iter().find(|s| s.name == "trainer.eval").expect("in-loop eval");
+    assert_eq!(in_loop.count, 2, "one early-stopping eval per epoch");
+}
+
 /// The ObsReport snapshot after an instrumented run carries the kernel
 /// counters the kernels promise (spmm calls/nnz), serialized with the
 /// documented stable field order.
