@@ -73,11 +73,17 @@ pub(crate) struct Epoch<'r> {
 
 impl<'c> Driver<'c> {
     /// Checks the dataset and builds the ledger with the tightest of the
-    /// config budget, the fault plan's budget and `SGNN_MEM_BUDGET`.
+    /// config budget, the fault plan's budget and `SGNN_MEM_BUDGET`. A
+    /// dataset that fails [`Dataset::validate`] or has no training row
+    /// is refused before any work, in O(n) once per run.
     pub(crate) fn new(cfg: &'c TrainConfig, ds: &Dataset) -> TrainResult<Self> {
         // Every argmax path assumes `num_classes ≥ 1`.
         if ds.num_classes == 0 {
             return Err(TrainError::EmptyLogits);
+        }
+        ds.validate().map_err(|e| TrainError::InvalidInput(format!("dataset: {e}")))?;
+        if ds.splits.train.is_empty() {
+            return Err(TrainError::InvalidInput("dataset: empty train split".into()));
         }
         let plan_budget = cfg.fault_plan.as_ref().and_then(|p| p.budget()).map(|b| b as usize);
         let explicit = match (cfg.mem_budget, plan_budget) {

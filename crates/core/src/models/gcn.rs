@@ -15,7 +15,7 @@ use sgnn_graph::normalize::{normalized_adjacency, NormKind};
 use sgnn_graph::spmm::{spmm, spmm_into};
 use sgnn_graph::CsrGraph;
 use sgnn_linalg::{DenseMatrix, QuantMatrix, QuantMode};
-use sgnn_nn::layers::{Dropout, Linear, ReLU};
+use sgnn_nn::layers::{Dropout, Linear};
 use sgnn_nn::optim::Optimizer;
 
 /// GCN hyperparameters.
@@ -41,33 +41,68 @@ pub fn gcn_operator(g: &CsrGraph) -> CsrGraph {
     normalized_adjacency(g, NormKind::Sym, true).expect("valid graph")
 }
 
+/// Where the rows of a training layer step sit in the full forward: the
+/// dropout call number (the model's training-forward count, 1-based)
+/// and each row's global id (`None`: row `r` is node `r`).
+#[derive(Clone, Copy)]
+pub(crate) struct StepRows<'a> {
+    pub(crate) call: u64,
+    pub(crate) ids: Option<&'a [u32]>,
+}
+
+/// What a training layer step keeps for its backward: the propagated
+/// input rows `Â·H` and the ReLU mask (empty for the output layer).
+#[derive(Default)]
+pub(crate) struct StepCache {
+    pub(crate) x: DenseMatrix,
+    pub(crate) mask: Vec<bool>,
+}
+
 /// GCN weights, reusable across propagation operators.
+///
+/// Training runs one per-layer step on any row set (`layer_forward` /
+/// `layer_backward`): [`forward`](Gcn::forward) and
+/// [`backward`](Gcn::backward) loop it over all rows of one operator, and
+/// the shard trainer runs it on each shard's owned rows.
 pub struct Gcn {
     linears: Vec<Linear>,
-    relus: Vec<ReLU>,
-    dropouts: Vec<Dropout>,
-    /// Reused SpMM output buffer: reshaped per layer, so steady-state
-    /// epochs perform zero allocations on the propagation path.
+    /// Dropout probability between layers.
+    dropout: f32,
+    /// Parameter seed; hidden layer `i` draws its dropout masks from the
+    /// stream seeded `seed + 100 + i`.
+    seed: u64,
+    /// Training forwards so far: the dropout call number, i.e. the mask
+    /// stream position of every hidden layer.
+    calls: u64,
+    /// Per-layer caches of the last training forward, reused every
+    /// forward, so steady-state epochs perform zero allocations on the
+    /// propagation path.
+    caches: Vec<StepCache>,
+    /// Backward scratch: the fixed-point `[gW | gb]` partials and the
+    /// propagated gradient.
+    fx: Vec<i128>,
     prop_scratch: DenseMatrix,
 }
 
 impl Gcn {
     /// Builds GCN weights for the given input/output widths.
     pub fn new(in_dim: usize, num_classes: usize, cfg: &GcnConfig) -> Self {
+        assert!(cfg.hidden.is_empty() || (0.0..1.0).contains(&cfg.dropout), "dropout in [0, 1)");
         let mut dims = vec![in_dim];
         dims.extend_from_slice(&cfg.hidden);
         dims.push(num_classes);
-        let mut linears = Vec::new();
-        let mut relus = Vec::new();
-        let mut dropouts = Vec::new();
-        for i in 0..dims.len() - 1 {
-            linears.push(Linear::new(dims[i], dims[i + 1], cfg.seed.wrapping_add(i as u64)));
-            if i + 2 < dims.len() {
-                relus.push(ReLU::new());
-                dropouts.push(Dropout::new(cfg.dropout, cfg.seed.wrapping_add(100 + i as u64)));
-            }
+        let linears = (0..dims.len() - 1)
+            .map(|i| Linear::new(dims[i], dims[i + 1], cfg.seed.wrapping_add(i as u64)))
+            .collect();
+        Gcn {
+            linears,
+            dropout: cfg.dropout,
+            seed: cfg.seed,
+            calls: 0,
+            caches: Vec::new(),
+            fx: Vec::new(),
+            prop_scratch: DenseMatrix::default(),
         }
-        Gcn { linears, relus, dropouts, prop_scratch: DenseMatrix::default() }
     }
 
     /// Number of weight layers.
@@ -90,37 +125,109 @@ impl Gcn {
         &mut self.linears[i]
     }
 
+    /// Layer `i`'s dense step on any row set `x`: `z = x·W + b`, then,
+    /// for a hidden layer, ReLU and — in a training forward (`rows` set)
+    /// — inverted dropout. Each mask element is a stateless hash of
+    /// `(layer seed, call, global row, column)`, so a shard running this
+    /// on its owned rows reproduces exactly those rows of the full
+    /// forward (DESIGN.md §7). Returns `z` and the ReLU mask, which is
+    /// empty for the output layer and for inference.
+    pub(crate) fn layer_forward(
+        &self,
+        i: usize,
+        x: &DenseMatrix,
+        rows: Option<StepRows<'_>>,
+    ) -> (DenseMatrix, Vec<bool>) {
+        let mut z = self.linears[i].forward_inference(x);
+        let mut mask = Vec::new();
+        if i + 1 == self.linears.len() {
+            return (z, mask);
+        }
+        let Some(rows) = rows else {
+            z.map_inplace(|v| v.max(0.0));
+            return (z, mask);
+        };
+        mask.reserve(z.rows() * z.cols());
+        self.each_dropout(i, rows, &mut z, |v, scale| {
+            mask.push(*v > 0.0);
+            *v = v.max(0.0) * scale;
+        });
+        (z, mask)
+    }
+
+    /// The backward of [`layer_forward`](Gcn::layer_forward) over the
+    /// same rows: for a hidden layer, the dropout backward and then the
+    /// ReLU backward of `dy`; then the layer's `[gW | gb]` partials added
+    /// into `fx` ([`Linear::fold_fx`]), and `dX = dY·Wᵀ` only when
+    /// `need_dx`.
+    pub(crate) fn layer_backward(
+        &self,
+        i: usize,
+        cache: &StepCache,
+        dy: &DenseMatrix,
+        rows: StepRows<'_>,
+        fx: &mut [i128],
+        need_dx: bool,
+    ) -> Option<DenseMatrix> {
+        let mut g = dy.clone();
+        if i + 1 < self.linears.len() {
+            let mut relu = cache.mask.iter();
+            self.each_dropout(i, rows, &mut g, |v, scale| {
+                *v *= scale;
+                if relu.next() != Some(&true) {
+                    *v = 0.0;
+                }
+            });
+        }
+        let linear = &self.linears[i];
+        linear.fold_fx(&cache.x, &g, fx);
+        need_dx.then(|| linear.input_grad(&g, &mut DenseMatrix::default()))
+    }
+
+    /// Calls `f(element, scale)` on every element of `m`, in row-major
+    /// order, with hidden layer `i`'s dropout scale for that element in
+    /// the training forward `rows` names: a stateless hash of
+    /// `(seed + 100 + i, call, global row, column)`.
+    fn each_dropout(
+        &self,
+        i: usize,
+        rows: StepRows<'_>,
+        m: &mut DenseMatrix,
+        mut f: impl FnMut(&mut f32, f32),
+    ) {
+        let cs = Dropout::call_seed(self.seed.wrapping_add(100 + i as u64), rows.call);
+        let d = m.cols() as u64;
+        for r in 0..m.rows() {
+            let base = rows.ids.map_or(r as u64, |ids| ids[r] as u64) * d;
+            for (c, v) in m.row_mut(r).iter_mut().enumerate() {
+                f(v, Dropout::element_scale(cs, self.dropout, base + c as u64));
+            }
+        }
+    }
+
     /// Training forward over the graph behind `op` (a pre-normalized
     /// operator from [`gcn_operator`]); caches activations for backward.
     pub fn forward(&mut self, op: &CsrGraph, x: &DenseMatrix) -> DenseMatrix {
-        let mut h = x.clone();
-        let n = self.linears.len();
-        let mut scratch = std::mem::take(&mut self.prop_scratch);
-        for i in 0..n {
-            scratch.reshape_scratch(h.rows(), h.cols());
-            spmm_into(op, &h, &mut scratch);
-            h = self.linears[i].forward(&scratch);
-            if i + 1 < n {
-                h = self.relus[i].forward(&h);
-                h = self.dropouts[i].forward(&h);
-            }
+        self.calls += 1;
+        let rows = StepRows { call: self.calls, ids: None };
+        let mut caches = std::mem::take(&mut self.caches);
+        caches.resize_with(self.linears.len(), StepCache::default);
+        let mut h: Option<DenseMatrix> = None;
+        for (i, cache) in caches.iter_mut().enumerate() {
+            let input = h.as_ref().unwrap_or(x);
+            cache.x.reshape_scratch(input.rows(), input.cols());
+            spmm_into(op, input, &mut cache.x);
+            let (z, mask) = self.layer_forward(i, &cache.x, Some(rows));
+            cache.mask = mask;
+            h = Some(z);
         }
-        self.prop_scratch = scratch;
-        h
+        self.caches = caches;
+        h.expect("models have at least one layer")
     }
 
     /// Inference forward (no caches, no dropout).
     pub fn forward_inference(&self, op: &CsrGraph, x: &DenseMatrix) -> DenseMatrix {
-        let mut h = x.clone();
-        let n = self.linears.len();
-        for i in 0..n {
-            let ah = spmm(op, &h);
-            h = self.linears[i].forward_inference(&ah);
-            if i + 1 < n {
-                h = self.relus[i].forward_inference(&h);
-            }
-        }
-        h
+        (0..self.linears.len()).fold(x.clone(), |h, i| self.layer_forward(i, &spmm(op, &h), None).0)
     }
 
     /// Inference forward under a numeric `mode` — the serving path.
@@ -148,31 +255,35 @@ impl Gcn {
             spmm_quant_into(op, &xq, &mut ah, BlockSpec::auto(op, h.cols()));
             h = self.linears[i].forward_inference_quant(&ah, mode);
             if i + 1 < n {
-                h = self.relus[i].forward_inference(&h);
+                h.map_inplace(|v| v.max(0.0));
             }
         }
         h
     }
 
-    /// Backward from the logits gradient through the same operator.
+    /// Backward from the logits gradient through the same operator. The
+    /// layer-0 input gradient is never formed: nothing reads it.
     ///
     /// Uses `Âᵀ = Â` (symmetric normalization), so `op` must be symmetric
     /// in values — true for [`gcn_operator`] on undirected graphs.
     pub fn backward(&mut self, op: &CsrGraph, dlogits: &DenseMatrix) {
-        let n = self.linears.len();
-        let mut g = dlogits.clone();
+        let rows = StepRows { call: self.calls, ids: None };
+        let mut fx = std::mem::take(&mut self.fx);
         let mut scratch = std::mem::take(&mut self.prop_scratch);
-        for i in (0..n).rev() {
-            if i + 1 < n {
-                g = self.dropouts[i].backward(&g);
-                g = self.relus[i].backward(&g);
+        let mut g = dlogits.clone();
+        for i in (0..self.linears.len()).rev() {
+            fx.clear();
+            fx.resize(self.linears[i].num_params(), 0);
+            let d_ah = self.layer_backward(i, &self.caches[i], &g, rows, &mut fx, i > 0);
+            self.linears[i].accumulate_fx(&fx);
+            if let Some(d_ah) = d_ah {
+                // The retired gradient buffer becomes next layer's scratch.
+                scratch.reshape_scratch(d_ah.rows(), d_ah.cols());
+                spmm_into(op, &d_ah, &mut scratch);
+                std::mem::swap(&mut g, &mut scratch);
             }
-            let d_ah = self.linears[i].backward(&g);
-            // The retired gradient buffer becomes next layer's scratch.
-            scratch.reshape_scratch(d_ah.rows(), d_ah.cols());
-            spmm_into(op, &d_ah, &mut scratch);
-            std::mem::swap(&mut g, &mut scratch);
         }
+        self.fx = fx;
         self.prop_scratch = scratch;
     }
 
@@ -203,28 +314,29 @@ impl Gcn {
         }
     }
 
-    /// Per-layer dropout call counters — the mask stream positions. Part
-    /// of the checkpoint contract: a resumed run must continue the same
-    /// call sequence the reference run would use.
+    /// Per-hidden-layer dropout call counters — the mask stream
+    /// positions. Part of the checkpoint contract: a resumed run must
+    /// continue the same call sequence the reference run would use.
     pub fn dropout_calls(&self) -> Vec<u64> {
-        self.dropouts.iter().map(|d| d.calls()).collect()
+        vec![self.calls; self.linears.len() - 1]
     }
 
     /// Restores the dropout call counters (checkpoint resume).
     pub fn restore_dropout_calls(&mut self, calls: &[u64]) {
-        for (d, &c) in self.dropouts.iter_mut().zip(calls) {
-            d.set_calls(c);
+        if let Some(&c) = calls.first() {
+            self.calls = c;
         }
     }
 
     /// Peak resident bytes of one training step on an `n_nodes` graph:
-    /// two graph-scale activations per layer plus parameters.
+    /// two graph-scale activations per layer, parameters, and the
+    /// last forward's cached layer inputs.
     pub fn step_bytes(&self, n_nodes: usize, in_dim: usize) -> usize {
         let mut dims = vec![in_dim];
         dims.extend(self.linears.iter().map(|l| l.out_dim()));
         let acts: usize = dims.iter().map(|&d| 2 * n_nodes * d * 4).sum();
         let params: usize = self.linears.iter().map(|l| l.nbytes()).sum();
-        acts + params
+        acts + params + self.caches.iter().map(|c| c.x.nbytes()).sum::<usize>()
     }
 }
 

@@ -9,6 +9,14 @@
 //! real one, which is what lets `benchsharding` validate the analytic
 //! E2 communication model against an actual execution.
 //!
+//! ## Execution shape
+//!
+//! Each shard runs the reference model's own layer step
+//! (`Gcn::layer_forward` / `Gcn::layer_backward`) on the rows it
+//! owns. This module adds only what distribution needs: the shard plan,
+//! the halo exchange (exact or compressed), the fixed-order gradient
+//! allreduce, fault handling and communication accounting.
+//!
 //! ## The determinism contract (DESIGN.md §7)
 //!
 //! [`train_sharded_gcn`] is **bitwise identical** to
@@ -25,14 +33,14 @@
 //!    full-graph row by induction over layers.
 //! 2. **Cross-row reductions are exact integer folds.** Weight/bias
 //!    gradients and the loss are accumulated as fixed-point `i128`
-//!    ([`sgnn_linalg::reduce`]) by both the reference kernels and the
-//!    shards; `wrapping_add` is associative, so per-shard partials
-//!    combined by the fixed-order tree allreduce equal the sequential
-//!    fold exactly, with one rounding at the final `f32` write-back.
+//!    ([`sgnn_linalg::reduce`]); `wrapping_add` is associative, so
+//!    per-shard partials combined by the fixed-order tree allreduce
+//!    equal the single-process fold exactly, with one rounding at the
+//!    final `f32` write-back.
 //! 3. **Randomness is stateless.** Dropout masks are per-element hashes
-//!    of `(layer seed, epoch, global row, column)`
-//!    ([`sgnn_nn::layers::Dropout::element_scale`]), so a shard
-//!    regenerates exactly the mask entries of the rows it owns.
+//!    of `(layer seed, epoch, global row, column)`, and the layer step
+//!    keys them by each owned row's global id, so a shard regenerates
+//!    exactly the mask entries of the rows it owns.
 //!
 //! Identical gradients ⇒ identical Adam updates (slot-keyed, fixed visit
 //! order) ⇒ identical weights every epoch; identical validation
@@ -51,21 +59,21 @@
 use crate::ckpt::{CkptSidecar, SlotParams};
 use crate::driver::{layer_dims, new_gcn, Checkpointed, Driver, Epoch};
 use crate::error::{TrainError, TrainResult};
-use crate::models::gcn::{gcn_operator, Gcn};
+use crate::models::gcn::{gcn_operator, Gcn, StepCache, StepRows};
 use crate::shard_comm::CommState;
 use crate::trainer::{TrainConfig, TrainReport};
 use sgnn_data::Dataset;
 use sgnn_fault::crc::crc32_f32s;
 use sgnn_fault::FaultPlan;
-use sgnn_graph::spmm::spmm_into;
+use sgnn_graph::spmm::spmm;
+use sgnn_graph::CsrGraph;
 use sgnn_linalg::par::par_map_chunks;
 use sgnn_linalg::quant::{ef_compress_rows, wire_bytes_per_vector};
-use sgnn_linalg::reduce::{accumulate_fx, colsum_fx, grad_fx, merge_fx};
+use sgnn_linalg::reduce::merge_fx;
 use sgnn_linalg::{vecops, DenseMatrix};
-use sgnn_nn::layers::Dropout;
-use sgnn_nn::loss::{loss_from_fx, xent_grad_row, xent_softmaxed_row_fx};
+use sgnn_nn::loss::{loss_from_fx, loss_row_fx};
 use sgnn_obs::Phase;
-use sgnn_partition::{Partition, ShardPlan};
+use sgnn_partition::{Partition, Shard, ShardPlan};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -171,30 +179,60 @@ struct Comm {
     allreduce_bytes: u64,
 }
 
+impl Comm {
+    /// Counts one halo exchange moving `v` vectors in `bytes` bytes.
+    fn halo(&mut self, v: u64, bytes: u64) {
+        HALO_VECTORS.add(v);
+        HALO_BYTES.add(bytes);
+        self.halo_vectors += v;
+        self.halo_bytes += bytes;
+    }
+}
+
 /// Fixed-order tree allreduce over per-shard fixed-point partials, held
 /// as `k` equal rows of the flat buffer `parts`: stride-doubling
 /// pairwise merges (`s ← s + gap`, gap = 1, 2, 4, …), the classic
 /// recursive-halving schedule, in place, leaving the total in row 0.
 /// Exactness of the `i128` combine means the tree shape cannot affect
 /// the result; the fixed order makes the traffic pattern auditable and
-/// the byte count deterministic.
-fn tree_allreduce(parts: &mut [i128], k: usize, bytes: &mut u64) {
+/// the byte count, added to `comm`, deterministic.
+fn tree_allreduce(parts: &mut [i128], k: usize, comm: &mut Comm) {
     let width = parts.len() / k;
-    let mut gap = 1;
+    let (mut gap, mut bytes) = (1, 0u64);
     while gap < k {
         let mut s = 0;
         while s + gap < k {
             let (dst, src) = parts.split_at_mut((s + gap) * width);
-            *bytes += (width * std::mem::size_of::<i128>()) as u64;
+            bytes += (width * std::mem::size_of::<i128>()) as u64;
             merge_fx(&mut dst[s * width..(s + 1) * width], &src[..width]);
             s += 2 * gap;
         }
         gap *= 2;
     }
+    ALLREDUCE_BYTES.add(bytes);
+    comm.allreduce_bytes += bytes;
 }
 
 /// Bounded-retry budget for a checksum-failed halo exchange.
 const MAX_HALO_RETRIES: u32 = 3;
+
+/// Shard `shard`'s `n_local × d` propagation input: owned row `r` from
+/// `owned`, halo slot `t` from `ghost(t)`.
+fn assemble<'g>(
+    shard: &Shard,
+    owned: &DenseMatrix,
+    d: usize,
+    ghost: impl Fn(usize) -> &'g [f32],
+) -> DenseMatrix {
+    let mut h = DenseMatrix::zeros(shard.n_local(), d);
+    for (r, &lr) in shard.owned_local.iter().enumerate() {
+        h.row_mut(lr as usize).copy_from_slice(owned.row(r));
+    }
+    for (t, &hl) in shard.halo_local.iter().enumerate() {
+        h.row_mut(hl as usize).copy_from_slice(ghost(t));
+    }
+    h
+}
 
 /// Builds shard `s`'s ghost matrix (`|halo| × d`) from the senders'
 /// dequantized export blocks — the receive side of a compressed
@@ -215,14 +253,66 @@ fn build_ghost(
     gm
 }
 
+/// Owned-row propagation from an `interior` part precomputed during the
+/// exchange plus boundary rows recomputed over the assembled inputs
+/// `full` — row for row the kernel invocations of the unsplit
+/// propagation: both sub-operators carry *complete* rows of the local
+/// operator, so every row goes through the unsplit SpMM kernel and keeps
+/// its exact bit pattern.
+fn merge_boundary(
+    shard: &Shard,
+    op_boundary: &CsrGraph,
+    interior: &DenseMatrix,
+    full: &DenseMatrix,
+) -> DenseMatrix {
+    let mut out = interior.clone();
+    let boundary = spmm(op_boundary, full);
+    for &r in shard.boundary_rows() {
+        out.row_mut(r as usize)
+            .copy_from_slice(boundary.row(shard.owned_local[r as usize] as usize));
+    }
+    out
+}
+
+/// The checksum-verified-retry policy of DESIGN.md §8 for one exchange's
+/// per-shard buffers: sender-side CRC-32s of the pristine `bufs`, one
+/// injected in-transit corruption, then up to [`MAX_HALO_RETRIES`]
+/// rounds that rebuild every mismatching buffer from its (still
+/// pristine) source with `rebuild`. Returns `(exchange, retries)` when a
+/// buffer is still corrupt after the budget.
+fn verify_with_retry(
+    fp: &FaultPlan,
+    xid: u64,
+    bufs: &mut [DenseMatrix],
+    rebuild: impl Fn(usize) -> DenseMatrix,
+) -> Option<(u64, u32)> {
+    let k = bufs.len();
+    let want: Vec<u32> = bufs.iter().map(|h| crc32_f32s(h.data())).collect();
+    fp.corrupt_halo_buf(xid, bufs[xid as usize % k].data_mut());
+    let mut retries = 0u32;
+    loop {
+        let bad: Vec<usize> = (0..k).filter(|&s| crc32_f32s(bufs[s].data()) != want[s]).collect();
+        if bad.is_empty() {
+            return None;
+        }
+        if retries >= MAX_HALO_RETRIES {
+            return Some((xid, retries));
+        }
+        retries += 1;
+        sgnn_fault::record_recovery_retry();
+        // Re-exchange only the shards whose buffer failed.
+        for &s in &bad {
+            bufs[s] = rebuild(s);
+        }
+    }
+}
+
 /// Shared state of one sharded run.
 struct Runtime<'a> {
     plan: &'a ShardPlan,
     ctxs: &'a [ShardCtx],
     /// Layer widths `[in_dim, hidden…, classes]`.
     dims: Vec<usize>,
-    p_drop: f32,
-    seed: u64,
     total_w: f32,
     comm: Comm,
     /// Armed fault injector; `None` also disables the halo checksum
@@ -248,10 +338,9 @@ struct Runtime<'a> {
     /// `comm.eval_halo_exchange.ns` instead of the training histogram.
     in_eval: bool,
     /// Backward scratch per layer, reused every epoch: the fixed-point
-    /// `gW`/`gb` partials (`k` rows of `d_in·d_out + d_out` slots, the
-    /// allreduced total landing in row 0) and `Wᵀ`.
+    /// `[gW | gb]` partials, `k` rows of `d_in·d_out + d_out` slots, the
+    /// allreduced total landing in row 0.
     fx: Vec<Vec<i128>>,
-    wt: Vec<DenseMatrix>,
 }
 
 impl Runtime<'_> {
@@ -286,19 +375,22 @@ impl Runtime<'_> {
         self.killed.map(|s| TrainError::InjectedCrash { site: "superstep", at: s })
     }
 
+    fn state(&self) -> &CommState {
+        self.comm_state.as_ref().expect("compressed regime")
+    }
+
+    fn state_mut(&mut self) -> &mut CommState {
+        self.comm_state.as_mut().expect("compressed regime")
+    }
+
     /// Halo exchange: builds each shard's full `n_local × d` buffer from
     /// the per-shard owned-row matrices `outs` — own rows scattered into
     /// place, ghost rows copied from their owners through the
     /// precomputed `halo_src` map. Double-buffered by construction: the
     /// sources (`outs`) and destinations are distinct allocations, so
     /// every shard reads a consistent snapshot regardless of task
-    /// scheduling.
-    ///
-    /// With a fault plan armed, every built buffer is checksummed against
-    /// its sender-side CRC-32 and mismatching shards are rebuilt from the
-    /// (still pristine) sources, up to [`MAX_HALO_RETRIES`] times — the
-    /// checksum-verified-retry recovery policy of DESIGN.md §8. Without a
-    /// plan no checksums are computed at all.
+    /// scheduling. With a fault plan armed, the buffers go through
+    /// [`verify_with_retry`]; without one no checksums are computed.
     fn exchange(&mut self, outs: &[DenseMatrix], d: usize) -> Vec<DenseMatrix> {
         let t_exch = Instant::now();
         let xid = self.exchange_idx;
@@ -306,46 +398,17 @@ impl Runtime<'_> {
         let plan = self.plan;
         let build = |s: usize| {
             let shard = &plan.shards[s];
-            let mut h = DenseMatrix::zeros(shard.n_local(), d);
-            for (r, &lr) in shard.owned_local.iter().enumerate() {
-                h.row_mut(lr as usize).copy_from_slice(outs[s].row(r));
-            }
-            for (t, &(owner, rank)) in shard.halo_src.iter().enumerate() {
-                h.row_mut(shard.halo_local[t] as usize)
-                    .copy_from_slice(outs[owner as usize].row(rank as usize));
-            }
-            h
+            assemble(shard, &outs[s], d, |t| {
+                let (owner, rank) = shard.halo_src[t];
+                outs[owner as usize].row(rank as usize)
+            })
         };
         let mut built = par_map_chunks(plan.k, build);
         let v = plan.halo_vectors();
-        let b = v * d as u64 * 4;
-        HALO_VECTORS.add(v);
-        HALO_BYTES.add(b);
-        self.comm.halo_vectors += v;
-        self.comm.halo_bytes += b;
-        if let Some(fp) = self.fault {
-            // Sender-side checksums of the pristine buffers, then the
-            // injector corrupts one buffer "in transit".
-            let want: Vec<u32> = built.iter().map(|h| crc32_f32s(h.data())).collect();
-            fp.corrupt_halo_buf(xid, built[xid as usize % plan.k].data_mut());
-            let mut retries = 0u32;
-            loop {
-                let bad: Vec<usize> =
-                    (0..plan.k).filter(|&s| crc32_f32s(built[s].data()) != want[s]).collect();
-                if bad.is_empty() {
-                    break;
-                }
-                if retries >= MAX_HALO_RETRIES {
-                    self.halo_fail = Some((xid, retries));
-                    break;
-                }
-                retries += 1;
-                sgnn_fault::record_recovery_retry();
-                // Re-exchange only the shards whose buffer failed.
-                for &s in &bad {
-                    built[s] = build(s);
-                }
-            }
+        self.comm.halo(v, v * d as u64 * 4);
+        if let Some(fail) = self.fault.and_then(|fp| verify_with_retry(fp, xid, &mut built, build))
+        {
+            self.halo_fail = Some(fail);
         }
         self.record_exchange_ns(t_exch);
         built
@@ -365,11 +428,8 @@ impl Runtime<'_> {
     /// One shard's propagation: local SpMM over the shard operator, then
     /// the owned rows gathered out (halo rows of the product are never
     /// read — their local adjacency is empty).
-    fn propagate_owned(&self, s: usize, input: &DenseMatrix, d: usize) -> DenseMatrix {
-        let shard = &self.plan.shards[s];
-        let mut scratch = DenseMatrix::zeros(shard.n_local(), d);
-        spmm_into(&shard.op, input, &mut scratch);
-        scratch.gather_rows(&self.ctxs[s].owned_rows)
+    fn propagate_owned(&self, s: usize, input: &DenseMatrix) -> DenseMatrix {
+        spmm(&self.plan.shards[s].op, input).gather_rows(&self.ctxs[s].owned_rows)
     }
 
     // ---- Compressed regime (DESIGN.md §11) ----------------------------
@@ -381,173 +441,89 @@ impl Runtime<'_> {
     /// quantization per exported row serves all its ghost copies.
     fn compress_blocks(&mut self, site: usize, outs: &[DenseMatrix]) -> Vec<DenseMatrix> {
         let k = self.plan.k;
-        let state = self.comm_state.as_mut().expect("compressed regime");
+        let state = self.state_mut();
         let mode = state.mode;
         let (exports, resids) = (&state.exports, &state.residuals[site]);
-        let results: Vec<(DenseMatrix, DenseMatrix)> = par_map_chunks(k, |s| {
+        let (deqs, resids) = par_map_chunks(k, |s| {
             let block = outs[s].gather_rows(&exports[s]);
             let mut r = resids[s].clone();
             let deq = ef_compress_rows(&block, &mut r, mode);
             (deq, r)
-        });
-        let mut deqs = Vec::with_capacity(k);
-        for (s, (deq, r)) in results.into_iter().enumerate() {
-            state.residuals[site][s] = r;
-            deqs.push(deq);
-        }
+        })
+        .into_iter()
+        .unzip();
+        state.residuals[site] = resids;
         deqs
     }
 
-    /// The overlap superstep of a refresh: pool tasks `0..k` materialize
-    /// each shard's ghost matrix from the dequantized blocks (the
-    /// exchange "in flight") while tasks `k..2k` run interior
-    /// aggregation `op_interior · outs` for the next propagation.
-    /// Interior task time is recorded as `comm.overlap_ns` — the compute
-    /// hidden behind the exchange.
-    fn ghosts_with_interior(
-        &mut self,
-        deqs: &[DenseMatrix],
-        outs: &[DenseMatrix],
-        d: usize,
-    ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>) {
-        let k = self.plan.k;
-        let plan = self.plan;
-        let state = self.comm_state.as_ref().expect("compressed regime");
-        let (halo_pos, op_interior) = (&state.halo_pos, &state.op_interior);
-        let results: Vec<(DenseMatrix, u64)> = par_map_chunks(2 * k, |t| {
-            let t0 = Instant::now();
-            let m = if t < k {
-                build_ghost(plan, halo_pos, deqs, t, d)
-            } else {
-                let s = t - k;
-                let mut scratch = DenseMatrix::zeros(plan.shards[s].owned.len(), d);
-                spmm_into(&op_interior[s], &outs[s], &mut scratch);
-                scratch
-            };
-            (m, t0.elapsed().as_nanos() as u64)
-        });
-        let mut ghosts = Vec::with_capacity(k);
-        let mut interiors = Vec::with_capacity(k);
-        let mut ns = 0u64;
-        for (t, (m, dt)) in results.into_iter().enumerate() {
-            if t < k {
-                ghosts.push(m);
-            } else {
-                interiors.push(m);
-                ns += dt;
-            }
-        }
-        OVERLAP_NS.add(ns);
-        self.comm_state.as_mut().expect("compressed regime").overlap_ns += ns;
-        (ghosts, interiors)
-    }
-
-    /// CRC-verifies compressed ghost matrices under an armed fault plan:
-    /// sender-side checksums of the pristine builds, one injected
-    /// in-transit corruption, and bounded rebuild-from-source retries —
-    /// the DESIGN.md §8 policy with the same budget as the exact path.
-    fn verify_ghosts(
-        &mut self,
-        ghosts: &mut [DenseMatrix],
-        deqs: &[DenseMatrix],
-        xid: u64,
-        d: usize,
-    ) {
-        let Some(fp) = self.fault else { return };
-        let k = self.plan.k;
-        let mut fail = None;
-        {
-            let state = self.comm_state.as_ref().expect("compressed regime");
-            let want: Vec<u32> = ghosts.iter().map(|g| crc32_f32s(g.data())).collect();
-            fp.corrupt_halo_buf(xid, ghosts[xid as usize % k].data_mut());
-            let mut retries = 0u32;
-            loop {
-                let bad: Vec<usize> =
-                    (0..k).filter(|&s| crc32_f32s(ghosts[s].data()) != want[s]).collect();
-                if bad.is_empty() {
-                    break;
-                }
-                if retries >= MAX_HALO_RETRIES {
-                    fail = Some((xid, retries));
-                    break;
-                }
-                retries += 1;
-                sgnn_fault::record_recovery_retry();
-                for &s in &bad {
-                    ghosts[s] = build_ghost(self.plan, &state.halo_pos, deqs, s, d);
-                }
-            }
-        }
-        if fail.is_some() {
-            self.halo_fail = fail;
-        }
-    }
-
-    /// Assembles each shard's full `n_local × d` propagation input:
-    /// fresh owned rows from `outs`, ghost rows from `ghosts`.
-    fn assemble_full(
+    /// One overlap superstep: pool tasks `0..k` run `front(s)` (the
+    /// exchange side) while tasks `k..2k` run interior aggregation
+    /// `op_interior · outs` for the next propagation. Returns both
+    /// halves and the interior tasks' nanoseconds — the compute hidden
+    /// behind the exchange.
+    fn with_interior(
         &self,
         outs: &[DenseMatrix],
-        ghosts: &[DenseMatrix],
-        d: usize,
-    ) -> Vec<DenseMatrix> {
-        let plan = self.plan;
-        par_map_chunks(plan.k, |s| {
-            let shard = &plan.shards[s];
-            let mut h = DenseMatrix::zeros(shard.n_local(), d);
-            for (r, &lr) in shard.owned_local.iter().enumerate() {
-                h.row_mut(lr as usize).copy_from_slice(outs[s].row(r));
-            }
-            for (j, &hl) in shard.halo_local.iter().enumerate() {
-                h.row_mut(hl as usize).copy_from_slice(ghosts[s].row(j));
-            }
-            h
+        front: impl Fn(usize) -> DenseMatrix + Sync,
+    ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>, u64) {
+        let k = self.plan.k;
+        let op_interior = &self.state().op_interior;
+        let (mut fronts, ns): (Vec<DenseMatrix>, Vec<u64>) = par_map_chunks(2 * k, |t| {
+            let t0 = Instant::now();
+            let m = if t < k { front(t) } else { spmm(&op_interior[t - k], &outs[t - k]) };
+            (m, t0.elapsed().as_nanos() as u64)
         })
+        .into_iter()
+        .unzip();
+        let interiors = fronts.split_off(k);
+        (fronts, interiors, ns[k..].iter().sum())
     }
 
-    /// Stale superstep: assemble propagation inputs from the site's
-    /// ghost cache — no wire traffic at all — while interior aggregation
-    /// runs alongside on the same pool.
-    fn stale_assemble_with_interior(
+    /// One compressed refresh at `site`: compression, the ghost build
+    /// overlapped with interior aggregation, checksum verification under
+    /// an armed fault plan, and assembly of the propagation inputs.
+    /// Settles all byte accounting (`comm.halo_bytes` counts quantized
+    /// wire bytes per (ghost, reader) pair; the delta to the exact
+    /// regime's `4·d` per pair goes to `comm.bytes_saved`). Returns the
+    /// ghosts, the assembled inputs and the interior aggregation.
+    #[allow(clippy::type_complexity)]
+    fn refresh_compressed(
         &mut self,
         site: usize,
         outs: &[DenseMatrix],
         d: usize,
-    ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>) {
-        let k = self.plan.k;
+    ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>, Vec<DenseMatrix>) {
+        let xid = self.exchange_idx;
+        self.exchange_idx += 1;
+        let deqs = self.compress_blocks(site, outs);
         let plan = self.plan;
-        let state = self.comm_state.as_ref().expect("compressed regime");
-        let (cache, op_interior) = (&state.cache[site], &state.op_interior);
-        let results: Vec<DenseMatrix> = par_map_chunks(2 * k, |t| {
-            if t < k {
-                let shard = &plan.shards[t];
-                let mut h = DenseMatrix::zeros(shard.n_local(), d);
-                for (r, &lr) in shard.owned_local.iter().enumerate() {
-                    h.row_mut(lr as usize).copy_from_slice(outs[t].row(r));
-                }
-                for (j, &hl) in shard.halo_local.iter().enumerate() {
-                    h.row_mut(hl as usize).copy_from_slice(cache[t].row(j));
-                }
-                h
-            } else {
-                let s = t - k;
-                let mut scratch = DenseMatrix::zeros(plan.shards[s].owned.len(), d);
-                spmm_into(&op_interior[s], &outs[s], &mut scratch);
-                scratch
-            }
+        let halo_pos = &self.state().halo_pos;
+        let ghost = |s: usize| build_ghost(plan, halo_pos, &deqs, s, d);
+        let (mut ghosts, interiors, ns) = self.with_interior(outs, ghost);
+        OVERLAP_NS.add(ns);
+        if let Some(fail) = self.fault.and_then(|fp| verify_with_retry(fp, xid, &mut ghosts, ghost))
+        {
+            self.halo_fail = Some(fail);
+        }
+        let v = plan.halo_vectors();
+        let wire = v * wire_bytes_per_vector(self.state().mode, d);
+        let saved = v * 4 * d as u64 - wire;
+        self.comm.halo(v, wire);
+        BYTES_SAVED.add(saved);
+        let state = self.state_mut();
+        state.overlap_ns += ns;
+        state.bytes_saved += saved;
+        let fulls = par_map_chunks(plan.k, |s| {
+            assemble(&plan.shards[s], &outs[s], d, |j| ghosts[s].row(j))
         });
-        let mut it = results.into_iter();
-        let fulls: Vec<DenseMatrix> = it.by_ref().take(k).collect();
-        let interiors: Vec<DenseMatrix> = it.collect();
-        (fulls, interiors)
+        (ghosts, fulls, interiors)
     }
 
-    /// One compressed forward exchange at `site` — or a stale-hit skip.
-    /// Returns the assembled propagation inputs and the interior
-    /// aggregation for the next layer, and settles all byte accounting
-    /// (`comm.halo_bytes` counts quantized wire bytes per (ghost,
-    /// reader) pair; the delta to the exact regime's `4·d` per pair goes
-    /// to `comm.bytes_saved`).
+    /// One compressed forward exchange at `site` — or a stale-hit skip,
+    /// which assembles the propagation inputs from the site's ghost
+    /// cache with no wire traffic at all while interior aggregation runs
+    /// alongside. Returns the assembled propagation inputs and the
+    /// interior aggregation for the next layer.
     fn exchange_compressed_fwd(
         &mut self,
         site: usize,
@@ -555,38 +531,23 @@ impl Runtime<'_> {
         d: usize,
     ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>) {
         let t_exch = Instant::now();
+        if self.state_mut().tick_refresh(site) {
+            let (ghosts, fulls, interiors) = self.refresh_compressed(site, outs, d);
+            self.state_mut().cache[site] = ghosts;
+            self.record_exchange_ns(t_exch);
+            return (fulls, interiors);
+        }
         let v = self.plan.halo_vectors();
         let exact_bytes = v * 4 * d as u64;
-        let (mode, refresh) = {
-            let state = self.comm_state.as_mut().expect("compressed regime");
-            (state.mode, state.tick_refresh(site))
-        };
-        if refresh {
-            let xid = self.exchange_idx;
-            self.exchange_idx += 1;
-            let deqs = self.compress_blocks(site, outs);
-            let (mut ghosts, interiors) = self.ghosts_with_interior(&deqs, outs, d);
-            self.verify_ghosts(&mut ghosts, &deqs, xid, d);
-            let wire = v * wire_bytes_per_vector(mode, d);
-            HALO_VECTORS.add(v);
-            HALO_BYTES.add(wire);
-            BYTES_SAVED.add(exact_bytes - wire);
-            self.comm.halo_vectors += v;
-            self.comm.halo_bytes += wire;
-            let fulls = self.assemble_full(outs, &ghosts, d);
-            let state = self.comm_state.as_mut().expect("compressed regime");
-            state.bytes_saved += exact_bytes - wire;
-            state.cache[site] = ghosts;
-            self.record_exchange_ns(t_exch);
-            (fulls, interiors)
-        } else {
-            STALE_HITS.add(v);
-            BYTES_SAVED.add(exact_bytes);
-            let state = self.comm_state.as_mut().expect("compressed regime");
-            state.stale_hits += v;
-            state.bytes_saved += exact_bytes;
-            self.stale_assemble_with_interior(site, outs, d)
-        }
+        STALE_HITS.add(v);
+        BYTES_SAVED.add(exact_bytes);
+        let state = self.state_mut();
+        state.stale_hits += v;
+        state.bytes_saved += exact_bytes;
+        let (plan, cache) = (self.plan, &self.state().cache[site]);
+        let (fulls, interiors, _) = self
+            .with_interior(outs, |s| assemble(&plan.shards[s], &outs[s], d, |j| cache[s].row(j)));
+        (fulls, interiors)
     }
 
     /// Compressed backward exchange for layer `i > 0`: error-feedback
@@ -601,159 +562,66 @@ impl Runtime<'_> {
         d: usize,
     ) -> Vec<DenseMatrix> {
         let t_exch = Instant::now();
-        let site = CommState::bwd_site(l, i);
-        let v = self.plan.halo_vectors();
-        let exact_bytes = v * 4 * d as u64;
-        let mode = self.comm_state.as_ref().expect("compressed regime").mode;
-        let xid = self.exchange_idx;
-        self.exchange_idx += 1;
-        let deqs = self.compress_blocks(site, d_ahs);
-        let (mut ghosts, interiors) = self.ghosts_with_interior(&deqs, d_ahs, d);
-        self.verify_ghosts(&mut ghosts, &deqs, xid, d);
-        let wire = v * wire_bytes_per_vector(mode, d);
-        HALO_VECTORS.add(v);
-        HALO_BYTES.add(wire);
-        BYTES_SAVED.add(exact_bytes - wire);
-        self.comm.halo_vectors += v;
-        self.comm.halo_bytes += wire;
-        self.comm_state.as_mut().expect("compressed regime").bytes_saved += exact_bytes - wire;
-        let fulls = self.assemble_full(d_ahs, &ghosts, d);
+        let (_, fulls, interiors) = self.refresh_compressed(CommState::bwd_site(l, i), d_ahs, d);
         self.record_exchange_ns(t_exch);
-        self.boundary_merge(&interiors, &fulls, d)
-    }
-
-    /// Owned-row propagation from a precomputed interior part plus
-    /// boundary rows recomputed over the assembled inputs — row-for-row
-    /// the same kernel invocations as [`Runtime::propagate_owned`]: both
-    /// sub-operators carry *complete* rows of the local operator, so
-    /// every row goes through the unsplit SpMM kernel and keeps its
-    /// exact bit pattern.
-    fn boundary_merge(
-        &self,
-        interiors: &[DenseMatrix],
-        fulls: &[DenseMatrix],
-        d: usize,
-    ) -> Vec<DenseMatrix> {
-        let plan = self.plan;
-        let state = self.comm_state.as_ref().expect("compressed regime");
-        let op_boundary = &state.op_boundary;
+        let (plan, op_boundary) = (self.plan, &self.state().op_boundary);
         par_map_chunks(plan.k, |s| {
-            let shard = &plan.shards[s];
-            let mut out = interiors[s].clone();
-            let mut scratch = DenseMatrix::zeros(shard.n_local(), d);
-            spmm_into(&op_boundary[s], &fulls[s], &mut scratch);
-            for &r in shard.boundary_rows() {
-                out.row_mut(r as usize)
-                    .copy_from_slice(scratch.row(shard.owned_local[r as usize] as usize));
-            }
-            out
+            merge_boundary(&plan.shards[s], &op_boundary[s], &interiors[s], &fulls[s])
         })
     }
 
     /// Training forward: per layer, a compute superstep (one pool task
-    /// per shard) followed by a halo-exchange superstep; the
-    /// `par_map_chunks` join is the BSP barrier. Returns per-shard
-    /// owned-row logits plus the caches backward needs (`Â·H` inputs and
-    /// ReLU masks).
+    /// per shard running [`Gcn::layer_forward`] on its owned rows)
+    /// followed by a halo-exchange superstep; the `par_map_chunks` join
+    /// is the BSP barrier. Returns per-shard owned-row logits plus the
+    /// per-layer step caches backward needs.
     ///
     /// In the compressed regime (DESIGN.md §11), layers after the first
     /// merge the interior aggregation precomputed during the previous
     /// exchange with boundary rows recomputed over the assembled
-    /// (quantized and possibly stale) inputs. The dense tail of every
-    /// layer — matmul, bias, ReLU, stateless dropout — is the same code in
-    /// both regimes, which is why `F32` quantization with staleness ≤ 1
-    /// reproduces the exact path bitwise.
-    #[allow(clippy::type_complexity)]
-    fn forward_train(
-        &mut self,
-        gcn: &Gcn,
-        epoch: u64,
-    ) -> (Vec<DenseMatrix>, Vec<Vec<DenseMatrix>>, Vec<Vec<Vec<bool>>>) {
+    /// (quantized and possibly stale) inputs. The layer step is the same
+    /// in both regimes, which is why `F32` quantization with staleness
+    /// ≤ 1 reproduces the exact path bitwise.
+    fn forward_train(&mut self, gcn: &Gcn, call: u64) -> (Vec<DenseMatrix>, Vec<Vec<StepCache>>) {
         let l = self.num_layers();
-        let k = self.plan.k;
-        let mut x_caches: Vec<Vec<DenseMatrix>> = Vec::with_capacity(l);
-        let mut relu_masks: Vec<Vec<Vec<bool>>> = Vec::with_capacity(l.saturating_sub(1));
-        let mut h_locals: Vec<DenseMatrix> = Vec::new();
-        let mut x_int: Vec<DenseMatrix> = Vec::new();
-        let mut logits: Vec<DenseMatrix> = Vec::new();
+        let mut caches: Vec<Vec<StepCache>> = Vec::with_capacity(l);
+        let (mut h_locals, mut x_int): (Vec<DenseMatrix>, Vec<DenseMatrix>) = Default::default();
         for i in 0..l {
             if self.poll_superstep() {
-                return (logits, x_caches, relu_masks);
+                break;
             }
-            let layer = gcn.layer(i);
-            let (w, b) = (&layer.w, &layer.b);
-            let (d_in, d_out) = (self.dims[i], self.dims[i + 1]);
-            let last = i + 1 == l;
-            let cs = Dropout::call_seed(self.seed.wrapping_add(100 + i as u64), epoch);
-            let p = self.p_drop;
-            let (plan, ctxs) = (self.plan, self.ctxs);
-            let op_boundary = self.comm_state.as_ref().map(|st| &st.op_boundary);
-            let (h_ref, x_ref) = (&h_locals, &x_int);
-            let results: Vec<(DenseMatrix, DenseMatrix, Vec<bool>)> = par_map_chunks(k, |s| {
-                let shard = &plan.shards[s];
-                let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                let x_owned = match op_boundary {
-                    Some(op_boundary) if i > 0 => {
-                        let mut x = x_ref[s].clone();
-                        spmm_into(&op_boundary[s], &h_ref[s], &mut scratch);
-                        for &r in shard.boundary_rows() {
-                            x.row_mut(r as usize).copy_from_slice(
-                                scratch.row(shard.owned_local[r as usize] as usize),
-                            );
-                        }
-                        x
+            let (this, h_ref, x_ref) = (&*self, &h_locals, &x_int);
+            let results: Vec<(DenseMatrix, StepCache)> = par_map_chunks(this.plan.k, |s| {
+                let shard = &this.plan.shards[s];
+                let x = match &this.comm_state {
+                    Some(st) if i > 0 => {
+                        merge_boundary(shard, &st.op_boundary[s], &x_ref[s], &h_ref[s])
                     }
-                    _ => {
-                        let input = if i == 0 { &ctxs[s].features } else { &h_ref[s] };
-                        spmm_into(&shard.op, input, &mut scratch);
-                        scratch.gather_rows(&ctxs[s].owned_rows)
-                    }
+                    _ => this.propagate_owned(
+                        s,
+                        if i == 0 { &this.ctxs[s].features } else { &h_ref[s] },
+                    ),
                 };
-                let mut z = x_owned.matmul(w).expect("linear shapes");
-                for r in 0..z.rows() {
-                    vecops::axpy(1.0, b.row(0), z.row_mut(r));
-                }
-                let mut mask = Vec::new();
-                if !last {
-                    // ReLU + stateless dropout, element-for-element the
-                    // reference expressions, indexed by *global* row.
-                    mask.reserve(z.rows() * d_out);
-                    for (r, &g) in shard.owned.iter().enumerate() {
-                        let row = z.row_mut(r);
-                        for (c, slot) in row.iter_mut().enumerate() {
-                            let v = *slot;
-                            mask.push(v > 0.0);
-                            *slot = v.max(0.0)
-                                * Dropout::element_scale(cs, p, g as u64 * d_out as u64 + c as u64);
-                        }
-                    }
-                }
-                (z, x_owned, mask)
+                let (z, mask) =
+                    gcn.layer_forward(i, &x, Some(StepRows { call, ids: Some(&shard.owned) }));
+                (z, StepCache { x, mask })
             });
-            let mut zs = Vec::with_capacity(k);
-            let mut xs = Vec::with_capacity(k);
-            let mut ms = Vec::with_capacity(k);
-            for (z, x, m) in results {
-                zs.push(z);
-                xs.push(x);
-                ms.push(m);
+            let (zs, layer_caches): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+            caches.push(layer_caches);
+            if i + 1 == l {
+                return (zs, caches);
             }
-            x_caches.push(xs);
-            if last {
-                logits = zs;
+            if self.poll_superstep() {
+                break;
+            }
+            let d_out = self.dims[i + 1];
+            if self.comm_state.is_some() {
+                (h_locals, x_int) = self.exchange_compressed_fwd(i, &zs, d_out);
             } else {
-                relu_masks.push(ms);
-                if self.poll_superstep() {
-                    return (logits, x_caches, relu_masks);
-                }
-                if self.comm_state.is_some() {
-                    (h_locals, x_int) = self.exchange_compressed_fwd(i, &zs, d_out);
-                } else {
-                    h_locals = self.exchange(&zs, d_out);
-                }
+                h_locals = self.exchange(&zs, d_out);
             }
         }
-        (logits, x_caches, relu_masks)
+        (Vec::new(), caches)
     }
 
     /// Loss + logits gradient over each shard's owned train rows. The
@@ -768,42 +636,31 @@ impl Runtime<'_> {
         let parts: Vec<(i128, DenseMatrix)> = par_map_chunks(self.plan.k, |s| {
             let mut dl = DenseMatrix::zeros(logits[s].rows(), c);
             let mut acc = 0i128;
-            let mut row = vec![0f32; c];
             for &(r, label) in &ctxs[s].train {
+                let row = dl.row_mut(r);
                 row.copy_from_slice(logits[s].row(r));
-                vecops::softmax_row(&mut row);
-                acc = acc.wrapping_add(xent_softmaxed_row_fx(&row, label, 1.0));
-                xent_grad_row(&mut row, label, 1.0, total_w);
-                dl.row_mut(r).copy_from_slice(&row);
+                acc = acc.wrapping_add(loss_row_fx(row, label, 1.0, total_w));
             }
             (acc, dl)
         });
-        let mut loss_parts = Vec::with_capacity(parts.len());
-        let mut dls = Vec::with_capacity(parts.len());
-        for (a, d) in parts {
-            loss_parts.push(a);
-            dls.push(d);
-        }
-        let mut bytes = 0u64;
-        tree_allreduce(&mut loss_parts, self.plan.k, &mut bytes);
-        ALLREDUCE_BYTES.add(bytes);
-        self.comm.allreduce_bytes += bytes;
+        let (mut loss_parts, dls): (Vec<i128>, Vec<DenseMatrix>) = parts.into_iter().unzip();
+        tree_allreduce(&mut loss_parts, self.plan.k, &mut self.comm);
         (loss_from_fx(loss_parts[0], total_w), dls)
     }
 
-    /// Backward: mirrored supersteps. Each layer's compute step applies
-    /// dropout/ReLU backward, forms fixed-point `gW`/`gb` partials over
-    /// owned rows, and computes `dY·Wᵀ`; the exchange step moves halo
-    /// gradients and propagates through the local operator. Partials are
+    /// Backward: mirrored supersteps. Each layer's compute step runs
+    /// [`Gcn::layer_backward`] on every shard's owned rows, folding the
+    /// shard's fixed-point `[gW | gb]` partial and, above layer 0,
+    /// forming `dY·Wᵀ`; the exchange step moves halo gradients and
+    /// propagates through the local operator. Partials are
     /// tree-allreduced and written into the model's gradient buffers
-    /// (one `i128 → f32` rounding, same as the reference kernel).
+    /// (one `i128 → f32` rounding, same as the reference).
     fn backward(
         &mut self,
         gcn: &mut Gcn,
         mut g_owned: Vec<DenseMatrix>,
-        x_caches: &[Vec<DenseMatrix>],
-        relu_masks: &[Vec<Vec<bool>>],
-        epoch: u64,
+        caches: &[Vec<StepCache>],
+        call: u64,
     ) {
         let l = self.num_layers();
         let k = self.plan.k;
@@ -811,75 +668,44 @@ impl Runtime<'_> {
             if self.poll_superstep() {
                 return;
             }
-            let (d_in, d_out) = (self.dims[i], self.dims[i + 1]);
-            let dw = d_in * d_out;
-            let last = i + 1 == l;
-            gcn.layer(i).w.transpose_into(&mut self.wt[i]);
-            let wt = &self.wt[i];
-            let cs = Dropout::call_seed(self.seed.wrapping_add(100 + i as u64), epoch);
-            let p = self.p_drop;
-            let plan = self.plan;
-            let caches = &x_caches[i];
-            let masks = if last { None } else { Some(&relu_masks[i]) };
-            let g_ref = &g_owned;
+            let (plan, g_ref, model) = (self.plan, &g_owned, &*gcn);
             let fx = &mut self.fx[i];
             fx.fill(0);
-            // Shard s owns row s (`gW` then `gb`) of the layer's partials.
+            // Shard s owns row s of the layer's partials.
+            let width = fx.len() / k;
             let rows: Vec<Mutex<&mut [i128]>> =
-                fx.chunks_exact_mut(dw + d_out).map(Mutex::new).collect();
+                fx.chunks_exact_mut(width).map(Mutex::new).collect();
             let d_ahs: Vec<DenseMatrix> = par_map_chunks(k, |s| {
-                let shard = &plan.shards[s];
-                let mut g = g_ref[s].clone();
-                if let Some(masks) = masks {
-                    // Same order as the reference: dropout mask multiply,
-                    // then ReLU zeroing.
-                    for (r, &gid) in shard.owned.iter().enumerate() {
-                        let row = g.row_mut(r);
-                        for (c, slot) in row.iter_mut().enumerate() {
-                            *slot *=
-                                Dropout::element_scale(cs, p, gid as u64 * d_out as u64 + c as u64);
-                        }
-                    }
-                    for (v, &m) in g.data_mut().iter_mut().zip(&masks[s]) {
-                        if !m {
-                            *v = 0.0;
-                        }
-                    }
-                }
                 let mut row = rows[s].lock().unwrap_or_else(|e| e.into_inner());
-                let (gw, gb) = row.split_at_mut(dw);
-                grad_fx(&caches[s], &g, gw);
-                colsum_fx(&g, gb);
-                g.matmul(wt).expect("linear shapes")
-            });
+                let at = StepRows { call, ids: Some(&plan.shards[s].owned) };
+                model.layer_backward(i, &caches[i][s], &g_ref[s], at, &mut row, i > 0)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
             drop(rows);
-            let mut bytes = 0u64;
-            tree_allreduce(fx, k, &mut bytes);
-            ALLREDUCE_BYTES.add(bytes);
-            self.comm.allreduce_bytes += bytes;
+            tree_allreduce(fx, k, &mut self.comm);
             if i > 0 {
-                // The layer-0 propagation of the reference is computed
-                // and discarded; shards skip it outright. One poll covers
-                // the exchange and the propagate barrier it feeds.
+                // Layer 0's input gradient is never formed, so there is
+                // nothing to propagate below it. One poll covers the
+                // exchange and the propagate barrier it feeds.
                 if self.poll_superstep() {
                     return;
                 }
+                let d_in = self.dims[i];
                 if self.comm_state.is_some() {
                     g_owned = self.exchange_compressed_bwd(l, i, &d_ahs, d_in);
                 } else {
                     let full = self.exchange(&d_ahs, d_in);
                     let this = &*self;
-                    g_owned = par_map_chunks(k, |s| this.propagate_owned(s, &full[s], d_in));
+                    g_owned = par_map_chunks(k, |s| this.propagate_owned(s, &full[s]));
                 }
             }
         }
         gcn.zero_grad();
-        for i in 0..l {
+        for (i, fx) in self.fx.iter().enumerate() {
             // Row 0 of each layer's partials holds the allreduced total.
-            let (dw, d_out) = (self.dims[i] * self.dims[i + 1], self.dims[i + 1]);
-            let layer = gcn.layer_mut(i);
-            accumulate_fx(layer.gw.data_mut(), &self.fx[i][..dw]);
-            accumulate_fx(layer.gb.data_mut(), &self.fx[i][dw..dw + d_out]);
+            gcn.layer_mut(i).accumulate_fx(&fx[..fx.len() / k]);
         }
     }
 
@@ -888,33 +714,17 @@ impl Runtime<'_> {
     /// `forward_inference` rows.
     fn inference_logits(&mut self, gcn: &Gcn) -> Vec<DenseMatrix> {
         let l = self.num_layers();
-        let k = self.plan.k;
         let mut h_locals: Vec<DenseMatrix> = Vec::new();
         for i in 0..l {
-            let layer = gcn.layer(i);
-            let (w, b) = (&layer.w, &layer.b);
-            let (d_in, d_out) = (self.dims[i], self.dims[i + 1]);
-            let last = i + 1 == l;
-            let (plan, ctxs) = (self.plan, self.ctxs);
-            let h_ref = &h_locals;
-            let results: Vec<DenseMatrix> = par_map_chunks(k, |s| {
-                let shard = &plan.shards[s];
-                let input = if i == 0 { &ctxs[s].features } else { &h_ref[s] };
-                let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                spmm_into(&shard.op, input, &mut scratch);
-                let mut z = scratch.gather_rows(&ctxs[s].owned_rows).matmul(w).expect("shapes");
-                for r in 0..z.rows() {
-                    vecops::axpy(1.0, b.row(0), z.row_mut(r));
-                }
-                if !last {
-                    z.map_inplace(|v| v.max(0.0));
-                }
-                z
+            let (this, h_ref) = (&*self, &h_locals);
+            let zs = par_map_chunks(this.plan.k, |s| {
+                let input = if i == 0 { &this.ctxs[s].features } else { &h_ref[s] };
+                gcn.layer_forward(i, &this.propagate_owned(s, input), None).0
             });
-            if last {
-                return results;
+            if i + 1 == l {
+                return zs;
             }
-            h_locals = self.exchange(&results, d_out);
+            h_locals = self.exchange(&zs, self.dims[i + 1]);
         }
         unreachable!("models have at least one layer")
     }
@@ -966,20 +776,18 @@ impl Sharded<'_> {
         let (gcn, rt) = (&mut self.gcn, &mut self.rt);
         self.session_epochs += 1;
         let call = ep.index as u64 + 1; // the reference model's dropout call number
-        let (loss, dl_owned, x_caches, relu_masks) = ep.phases.time(Phase::Forward, || {
-            let (logits, x_caches, relu_masks) = rt.forward_train(gcn, call);
+        let (loss, dl_owned, caches) = ep.phases.time(Phase::Forward, || {
+            let (logits, caches) = rt.forward_train(gcn, call);
             if rt.faulted() {
-                return (0.0, Vec::new(), x_caches, relu_masks);
+                return (0.0, Vec::new(), caches);
             }
             let (loss, dl) = rt.loss_and_grad(&logits);
-            (loss, dl, x_caches, relu_masks)
+            (loss, dl, caches)
         });
         if let Some(e) = rt.fault_error() {
             return Err(e);
         }
-        ep.phases.time(Phase::Backward, || {
-            rt.backward(gcn, dl_owned, &x_caches, &relu_masks, call);
-        });
+        ep.phases.time(Phase::Backward, || rt.backward(gcn, dl_owned, &caches, call));
         if let Some(e) = rt.fault_error() {
             return Err(e);
         }
@@ -1117,8 +925,6 @@ pub fn train_sharded_gcn(
     let rt = Runtime {
         plan: &plan,
         ctxs: &ctxs,
-        p_drop: cfg.dropout,
-        seed: cfg.seed,
         total_w: (ds.splits.train.len() as f32).max(1e-12),
         comm: Comm::default(),
         fault: cfg.fault_plan.as_deref(),
@@ -1129,7 +935,6 @@ pub fn train_sharded_gcn(
         comm_state,
         in_eval: false,
         fx: (0..l).map(|i| vec![0i128; k * (dims[i] * dims[i + 1] + dims[i + 1])]).collect(),
-        wt: (0..l).map(|i| DenseMatrix::zeros(dims[i + 1], dims[i])).collect(),
         dims,
     };
     let mut st = Sharded { gcn, rt, eval_comm: Comm::default(), session_epochs: 0 };

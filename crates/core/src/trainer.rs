@@ -389,6 +389,8 @@ pub fn train_cluster_gcn(
     clusters_per_batch: usize,
     cfg: &TrainConfig,
 ) -> TrainResult<(Gcn, TrainReport)> {
+    positive("num_clusters", num_clusters)?;
+    positive("clusters_per_batch", clusters_per_batch)?;
     let mut driver = Driver::new(cfg, ds)?;
     driver.ledger.try_alloc(ds.features.nbytes())?;
     let t0 = Instant::now();

@@ -179,6 +179,7 @@ pub fn train_history(
 /// nodes, and train GCN batches of (one subgraph + all coarse nodes) so
 /// inter-subgraph information keeps flowing.
 pub fn train_seignn(ds: &Dataset, parts: usize, cfg: &TrainConfig) -> TrainResult<TrainReport> {
+    positive("parts", parts)?;
     let mut driver = Driver::new(cfg, ds)?;
     let t0 = Instant::now();
     let p = sgnn_partition::multilevel_partition(

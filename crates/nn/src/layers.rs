@@ -19,10 +19,9 @@ pub struct Linear {
     /// Bias gradient.
     pub gb: DenseMatrix,
     cache_x: Option<DenseMatrix>,
-    /// Backward scratch, reused across calls: the fixed-point `gW`/`gb`
+    /// Backward scratch, reused across calls: the fixed-point `[gW | gb]`
     /// partials and `Wᵀ`. Empty until the first backward.
-    gw_fx: Vec<i128>,
-    gb_fx: Vec<i128>,
+    fx: Vec<i128>,
     wt: DenseMatrix,
 }
 
@@ -35,8 +34,7 @@ impl Linear {
             gw: DenseMatrix::zeros(in_dim, out_dim),
             gb: DenseMatrix::zeros(1, out_dim),
             cache_x: None,
-            gw_fx: Vec::new(),
-            gb_fx: Vec::new(),
+            fx: Vec::new(),
             wt: DenseMatrix::default(),
         }
     }
@@ -90,27 +88,48 @@ impl Linear {
     }
 
     /// Backward pass: accumulates `gw += Xᵀ·dY`, `gb += Σ dY`, returns
-    /// `dX = dY·Wᵀ`.
-    ///
-    /// The cross-row reductions go through the exact fixed-point fold in
-    /// [`sgnn_linalg::reduce`], so the accumulated gradients are
-    /// independent of row order and row partitioning — the shard trainer
-    /// computes the same `i128` partials per shard, allreduces them, and
-    /// lands on identical bits (DESIGN.md §7). `dX` is per-row and needs
-    /// no such treatment.
+    /// `dX = dY·Wᵀ` — [`fold_fx`](Self::fold_fx),
+    /// [`accumulate_fx`](Self::accumulate_fx) and
+    /// [`input_grad`](Self::input_grad) over the cached input.
     pub fn backward(&mut self, dy: &DenseMatrix) -> DenseMatrix {
         let x = self.cache_x.as_ref().expect("backward before forward");
-        self.gw_fx.clear();
-        self.gw_fx.resize(self.w.rows() * self.w.cols(), 0);
-        self.gb_fx.clear();
-        self.gb_fx.resize(self.b.cols(), 0);
-        reduce::grad_fx(x, dy, &mut self.gw_fx);
-        reduce::colsum_fx(dy, &mut self.gb_fx);
-        reduce::accumulate_fx(self.gw.data_mut(), &self.gw_fx);
-        reduce::accumulate_fx(self.gb.data_mut(), &self.gb_fx);
-        self.wt.reshape_scratch(self.w.cols(), self.w.rows());
-        self.w.transpose_into(&mut self.wt);
-        dy.matmul(&self.wt).expect("shapes fixed")
+        let mut fx = std::mem::take(&mut self.fx);
+        fx.clear();
+        fx.resize(self.num_params(), 0);
+        self.fold_fx(x, dy, &mut fx);
+        self.accumulate_fx(&fx);
+        self.fx = fx;
+        let mut wt = std::mem::take(&mut self.wt);
+        let dx = self.input_grad(dy, &mut wt);
+        self.wt = wt;
+        dx
+    }
+
+    /// Adds the fixed-point partials `gW += Xᵀ·dY`, `gb += Σ dY` of
+    /// input rows `x` into `fx`, laid out `[gW | gb]`. The exact fold of
+    /// [`sgnn_linalg::reduce`] makes them independent of row order and
+    /// row partitioning, so per-shard partials, merged, equal the
+    /// single-process fold bit for bit (DESIGN.md §7).
+    pub fn fold_fx(&self, x: &DenseMatrix, dy: &DenseMatrix, fx: &mut [i128]) {
+        let (gw, gb) = fx.split_at_mut(self.w.rows() * self.w.cols());
+        reduce::grad_fx(x, dy, gw);
+        reduce::colsum_fx(dy, gb);
+    }
+
+    /// Adds a `[gW | gb]` fixed-point total into the gradient buffers,
+    /// with one `f32` rounding per element.
+    pub fn accumulate_fx(&mut self, fx: &[i128]) {
+        let (gw, gb) = fx.split_at(self.w.rows() * self.w.cols());
+        reduce::accumulate_fx(self.gw.data_mut(), gw);
+        reduce::accumulate_fx(self.gb.data_mut(), gb);
+    }
+
+    /// Input gradient `dX = dY·Wᵀ`, per row, transposing `W` into the
+    /// caller's scratch `wt`.
+    pub fn input_grad(&self, dy: &DenseMatrix, wt: &mut DenseMatrix) -> DenseMatrix {
+        wt.reshape_scratch(self.w.cols(), self.w.rows());
+        self.w.transpose_into(wt);
+        dy.matmul(wt).expect("shapes fixed")
     }
 
     /// Clears accumulated gradients.
@@ -182,10 +201,10 @@ impl ReLU {
 /// The mask is a **stateless** function of `(seed, call number, element
 /// index)` — a SplitMix64 hash per element rather than a sequential RNG
 /// stream — so any row subset of a forward pass can reproduce exactly
-/// its own mask entries. The shard trainer relies on this: each shard
-/// regenerates the mask for the global rows it owns via
-/// [`Dropout::element_scale`] and lands on the same bits the
-/// full-matrix reference forward produced (DESIGN.md §7).
+/// its own mask entries. The GCN layer step relies on this: each shard
+/// of the shard trainer regenerates the mask for the global rows it owns
+/// via [`Dropout::element_scale`] and lands on the same bits the
+/// full-matrix forward produced (DESIGN.md §7).
 #[derive(Debug, Clone)]
 pub struct Dropout {
     /// Drop probability.
@@ -208,18 +227,6 @@ impl Dropout {
     #[inline]
     pub fn call_seed(seed: u64, call: u64) -> u64 {
         seed.wrapping_add(call.wrapping_mul(0x9E37_79B9))
-    }
-
-    /// Training-forward calls made so far. Part of the checkpoint
-    /// contract: the mask stream position is the only RNG-adjacent state
-    /// a model carries, so resume must put it back.
-    pub fn calls(&self) -> u64 {
-        self.calls
-    }
-
-    /// Restores the call counter (checkpoint resume).
-    pub fn set_calls(&mut self, calls: u64) {
-        self.calls = calls;
     }
 
     /// Mask scale for one element: `0.0` (dropped) or `1/(1−p)` (kept),

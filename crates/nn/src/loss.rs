@@ -2,22 +2,28 @@
 //!
 //! The scalar loss is a cross-row reduction, so it folds through the
 //! exact fixed-point representation in [`sgnn_linalg::reduce`]: the
-//! per-row term [`xent_softmaxed_row_fx`] and the final conversion
+//! per-row step [`loss_row_fx`] and the final conversion
 //! [`loss_from_fx`] are shared with the shard trainer, which sums the
 //! same `i128` terms over its owned rows and allreduces — landing on
 //! the identical loss bits (DESIGN.md §7). The gradient is per-row
 //! (given the global weight total) and needs no such treatment.
 
 use sgnn_linalg::reduce::{fx, fx_to_f64};
-use sgnn_linalg::DenseMatrix;
+use sgnn_linalg::{vecops, DenseMatrix};
 
-/// Fixed-point loss term of one already-softmaxed probability row:
-/// `fx(−w·ln(max(p_target, 1e-12)))`. Pure function of the row bits, so
-/// any row partitioning reproduces the same terms.
+/// One row of softmax cross-entropy, in place: softmaxes the logits
+/// `row`, returns its fixed-point loss term
+/// `fx(−w·ln(max(p_target, 1e-12)))`, and rewrites the row into its
+/// gradient `w·(p − onehot(target))/total_w`. A pure function of the row
+/// bits and the global `total_w`, so any row partitioning reproduces the
+/// same terms and gradient rows.
 #[inline]
-pub fn xent_softmaxed_row_fx(probs_row: &[f32], target: usize, w: f32) -> i128 {
-    let p = probs_row[target].max(1e-12);
-    fx(-((w as f64) * (p as f64).ln()))
+pub fn loss_row_fx(row: &mut [f32], target: usize, w: f32, total_w: f32) -> i128 {
+    vecops::softmax_row(row);
+    let term = fx(-((w as f64) * (row[target].max(1e-12) as f64).ln()));
+    row[target] -= 1.0;
+    vecops::scale(row, w / total_w);
+    term
 }
 
 /// Final scalar loss from a fixed-point term total: one rounding, after
@@ -25,15 +31,6 @@ pub fn xent_softmaxed_row_fx(probs_row: &[f32], target: usize, w: f32) -> i128 {
 #[inline]
 pub fn loss_from_fx(total: i128, total_w: f32) -> f32 {
     (fx_to_f64(total) / total_w as f64) as f32
-}
-
-/// Rewrites an already-softmaxed probability row into its loss gradient
-/// in place: `row ← w·(row − onehot(target))/total_w`. Per-row pure
-/// given the global `total_w`.
-#[inline]
-pub fn xent_grad_row(row: &mut [f32], target: usize, w: f32, total_w: f32) {
-    row[target] -= 1.0;
-    sgnn_linalg::vecops::scale(row, w / total_w);
 }
 
 /// Computes mean softmax cross-entropy and its gradient w.r.t. logits.
@@ -57,14 +54,11 @@ pub fn softmax_cross_entropy(
     };
     let total_w = total_w.max(1e-12);
     let mut grad = logits.clone();
-    grad.softmax_rows();
     let mut loss_fx = 0i128;
     for r in 0..n {
         let w = weights.map_or(1.0, |ws| ws[r]);
-        let t = targets[r];
-        debug_assert!(t < logits.cols(), "target class out of range");
-        loss_fx = loss_fx.wrapping_add(xent_softmaxed_row_fx(grad.row(r), t, w));
-        xent_grad_row(grad.row_mut(r), t, w, total_w);
+        debug_assert!(targets[r] < logits.cols(), "target class out of range");
+        loss_fx = loss_fx.wrapping_add(loss_row_fx(grad.row_mut(r), targets[r], w, total_w));
     }
     (loss_from_fx(loss_fx, total_w), grad)
 }

@@ -5,10 +5,14 @@
 //! One table row per bad input × trainer it applies to. Each row runs
 //! under `catch_unwind`, so a panic fails the row instead of the binary.
 
-use sgnn::core::trainer::{train_sampled, SamplerKind, TrainConfig};
-use sgnn::core::trainer_ext::train_history;
+use sgnn::core::shard::train_sharded_gcn;
+use sgnn::core::trainer::{
+    train_cluster_gcn, train_full_gcn, train_sampled, SamplerKind, TrainConfig,
+};
+use sgnn::core::trainer_ext::{train_history, train_seignn};
 use sgnn::core::{TrainError, TrainResult};
 use sgnn::data::{sbm_dataset, Dataset};
+use sgnn::partition::hash_partition;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 type Run = Box<dyn Fn(&Dataset, &TrainConfig) -> TrainResult<()>>;
@@ -21,10 +25,41 @@ fn history(fanout: usize) -> Run {
     Box::new(move |ds, cfg| train_history(ds, fanout, cfg).map(drop))
 }
 
+fn cluster(num_clusters: usize, clusters_per_batch: usize) -> Run {
+    Box::new(move |ds, cfg| train_cluster_gcn(ds, num_clusters, clusters_per_batch, cfg).map(drop))
+}
+
+fn full() -> Run {
+    Box::new(|ds, cfg| train_full_gcn(ds, cfg).map(drop))
+}
+
+fn sharded(k: usize) -> Run {
+    Box::new(move |ds, cfg| {
+        train_sharded_gcn(ds, &hash_partition(ds.num_nodes(), k), cfg).map(drop)
+    })
+}
+
+fn assert_refused(name: &str, ds: &Dataset, cfg: &TrainConfig, run: &Run) {
+    match catch_unwind(AssertUnwindSafe(|| run(ds, cfg))) {
+        Err(_) => panic!("{name}: panicked"),
+        Ok(Ok(())) => panic!("{name}: returned Ok"),
+        Ok(Err(TrainError::InvalidInput(_))) => {}
+        Ok(Err(e)) => panic!("{name}: expected InvalidInput, got {e}"),
+    }
+}
+
+fn dataset() -> Dataset {
+    sbm_dataset(200, 3, 6.0, 0.85, 6, 0.6, 0, 0.5, 0.25, 3)
+}
+
+fn config() -> TrainConfig {
+    TrainConfig { epochs: 2, hidden: vec![8], batch_size: 32, ..Default::default() }
+}
+
 #[test]
 fn bad_trainer_input_is_refused_without_panic() {
-    let ds = sbm_dataset(200, 3, 6.0, 0.85, 6, 0.6, 0, 0.5, 0.25, 3);
-    let cfg = TrainConfig { epochs: 2, hidden: vec![8], batch_size: 32, ..Default::default() };
+    let ds = dataset();
+    let cfg = config();
     let zero_batch = TrainConfig { batch_size: 0, ..cfg.clone() };
     let cases: Vec<(&str, TrainConfig, Run)> = vec![
         ("sampled: batch_size 0", zero_batch.clone(), sampled(SamplerKind::NodeWise(vec![4, 4]))),
@@ -33,13 +68,40 @@ fn bad_trainer_input_is_refused_without_panic() {
         ("sampled: LADIES layer size 0", cfg.clone(), sampled(SamplerKind::LayerWise(vec![0, 64]))),
         ("history: fanout 0", cfg.clone(), history(0)),
         ("history: batch_size 0", zero_batch, history(4)),
+        ("cluster: num_clusters 0", cfg.clone(), cluster(0, 1)),
+        ("cluster: clusters_per_batch 0", cfg.clone(), cluster(4, 0)),
+        ("seignn: parts 0", cfg.clone(), Box::new(|ds, cfg| train_seignn(ds, 0, cfg).map(drop))),
     ];
     for (name, cfg, run) in &cases {
-        match catch_unwind(AssertUnwindSafe(|| run(&ds, cfg))) {
-            Err(_) => panic!("{name}: panicked"),
-            Ok(Ok(())) => panic!("{name}: returned Ok"),
-            Ok(Err(TrainError::InvalidInput(_))) => {}
-            Ok(Err(e)) => panic!("{name}: expected InvalidInput, got {e}"),
+        assert_refused(name, &ds, cfg, run);
+    }
+}
+
+/// A dataset that breaks `Dataset::validate`, or has no training row,
+/// is refused by the full-graph and the sharded GCN trainers alike.
+#[test]
+fn bad_dataset_is_refused_without_panic() {
+    let base = dataset();
+    let n = base.num_nodes();
+    let mut bad_label = base.clone();
+    bad_label.labels[base.splits.train[0] as usize] = base.num_classes;
+    let mut short_features = base.clone();
+    short_features.features = base.features.gather_rows(&(0..n - 1).collect::<Vec<_>>());
+    let mut split_out_of_range = base.clone();
+    split_out_of_range.splits.train.push(n as u32);
+    let mut empty_train = base.clone();
+    empty_train.splits.train.clear();
+    let datasets = [
+        ("label >= num_classes", bad_label),
+        ("feature rows != n", short_features),
+        ("split id >= n", split_out_of_range),
+        ("empty train split", empty_train),
+    ];
+    let trainers: [(&str, Run); 2] = [("full", full()), ("sharded k=2", sharded(2))];
+    let cfg = config();
+    for (what, ds) in &datasets {
+        for (trainer, run) in &trainers {
+            assert_refused(&format!("{trainer}: {what}"), ds, &cfg, run);
         }
     }
 }

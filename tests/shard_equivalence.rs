@@ -17,9 +17,11 @@ use proptest::prelude::*;
 use sgnn::core::models::gcn::Gcn;
 use sgnn::core::shard::train_sharded_gcn;
 use sgnn::core::trainer::{train_full_gcn, TrainConfig, TrainReport};
+use sgnn::core::CommRegime;
 use sgnn::data::sbm_dataset;
 use sgnn::graph::CsrGraph;
 use sgnn::linalg::par::set_threads;
+use sgnn::linalg::QuantMode;
 use sgnn::partition::multilevel::MultilevelConfig;
 use sgnn::partition::{fennel, hash_partition, ldg, multilevel_partition, Partition};
 use std::sync::Mutex;
@@ -160,4 +162,29 @@ fn sharded_training_matches_at_two_threads() {
         assert_weights_match(&ref_gcn, &gcn, &tag);
     }
     set_threads(0);
+}
+
+/// A middle layer — input and output both exchanged, dropout seeded
+/// `seed + 101` — walks the reference trajectory too: two hidden layers
+/// with dropout on, in the exact regime and in the f32-identity
+/// compressed regime, at k ∈ {2, 4}.
+#[test]
+fn middle_layer_with_dropout_matches_the_reference() {
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let ds = sbm_dataset(300, 3, 8.0, 0.85, 6, 0.8, 0, 0.5, 0.25, 13);
+    let exact = TrainConfig { epochs: 4, hidden: vec![8, 6], dropout: 0.3, ..Default::default() };
+    let compressed = TrainConfig {
+        comm_regime: CommRegime::Compressed { quant: QuantMode::F32, staleness: 1 },
+        ..exact.clone()
+    };
+    let (ref_gcn, ref_report) = train_full_gcn(&ds, &exact).unwrap();
+    for (regime, cfg) in [("exact", &exact), ("f32,s=1", &compressed)] {
+        for k in [2usize, 4] {
+            let part = hash_partition(ds.num_nodes(), k);
+            let (gcn, report, _) = train_sharded_gcn(&ds, &part, cfg).unwrap();
+            let tag = format!("{regime} k={k}");
+            assert_reports_match(&ref_report, &report, &tag);
+            assert_weights_match(&ref_gcn, &gcn, &tag);
+        }
+    }
 }
