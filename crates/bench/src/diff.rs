@@ -14,7 +14,7 @@
 //! | throughput (higher better) | `gflops`, `*_per_sec`, `*speedup*` | fresh ≥ base ÷ `time_ratio` |
 //! | quantization error | `*_err_*`, `*_err`, `*loss*` | fresh ≤ base × 1.5 + 1e-6 |
 //! | config echo | `threads`, `quick`, `k`, `lanes`, `row_block`, `col_block`, `epochs` | ignored |
-//! | live overload counts | `*_live*` | ignored (queue-depth-dependent; replay-exact twins are gated) |
+//! | live overload numbers | `*_live*` | ignored (queue-depth-dependent shed/degrade counts and budget, and the shedding-off goodput, which is legitimately 0 when every request misses its budget; replay-exact twins are gated) |
 //!
 //! A baseline metric missing from the fresh run is always a regression
 //! (coverage must not silently shrink); fresh-only metrics are reported
@@ -145,9 +145,11 @@ fn classify(path: &str) -> Class {
     }
     // Live overload measurements: which request lands on which ladder
     // rung depends on the queue depth the server observed, so these
-    // counts are real but not reproducible. They are exported with a
-    // `_live` suffix and deliberately left ungated — their replay-exact
-    // twins live under `degraded_replay`.
+    // counts are real but not reproducible. So is the goodput with
+    // shedding off, which is legitimately 0 when every request misses
+    // its budget. They are exported with a `_live` tag and deliberately
+    // left ungated — their replay-exact twins live under
+    // `degraded_replay`.
     if leaf.contains("_live") {
         return Class::Unknown;
     }
@@ -574,6 +576,7 @@ mod tests {
             ("shed_live", Unknown),
             ("degraded_live", Unknown),
             ("budget_live_ns", Unknown),
+            ("goodput_off_live_per_sec", Unknown),
             ("open_store_hits", Unknown),
             ("mean_batch", Unknown),
             // Serving times and rates.
@@ -594,7 +597,6 @@ mod tests {
             ("saturation_per_sec", HigherBetterRate),
             ("offered_per_sec", HigherBetterRate),
             ("goodput_on_per_sec", HigherBetterRate),
-            ("goodput_off_per_sec", HigherBetterRate),
             // Sharding: communication volumes are analytic.
             ("halo_bytes_per_epoch", ExactCount),
             ("halo_bytes_saved_per_epoch", ExactCount),

@@ -70,21 +70,14 @@ impl Linear {
 
     /// Inference-only forward under a numeric `mode`. [`QuantMode::F32`]
     /// (the default) is exactly [`forward_inference`](Self::forward_inference);
-    /// the quantized modes compress activations and weights per row,
-    /// accumulate in f32, and keep the bias addition in f32. Error
-    /// tolerance: DESIGN.md §9. Weights are quantized per call — a
-    /// serving deployment would cache `QuantMatrix::quantize(&self.w, _)`.
+    /// the quantized modes quantize the weights for this call and run
+    /// the same forward as a head built once by
+    /// [`Mlp::quantize`](crate::Mlp::quantize).
     pub fn forward_inference_quant(&self, x: &DenseMatrix, mode: QuantMode) -> DenseMatrix {
-        let Some(wq) = QuantMatrix::quantize(&self.w, mode) else {
-            return self.forward_inference(x);
-        };
-        let xq = QuantMatrix::quantize(x, mode).expect("mode is quantized");
-        let mut y = DenseMatrix::zeros(x.rows(), self.out_dim());
-        sgnn_linalg::qmatmul_into(&xq, &wq, &mut y).expect("linear shape mismatch");
-        for r in 0..y.rows() {
-            sgnn_linalg::vecops::axpy(1.0, self.b.row(0), y.row_mut(r));
+        match QuantLinear::new(self, mode) {
+            Some(q) => q.forward(x),
+            None => self.forward_inference(x),
         }
-        y
     }
 
     /// Backward pass: accumulates `gw += Xᵀ·dY`, `gb += Σ dY`, returns
@@ -156,6 +149,36 @@ impl Linear {
             + self.gw.nbytes()
             + self.gb.nbytes()
             + self.cache_x.as_ref().map_or(0, |c| c.nbytes())
+    }
+}
+
+/// A [`Linear`] layer's inference weights, quantized once under a lossy
+/// [`QuantMode`]: `W` as a [`QuantMatrix`], the bias kept in f32. Each
+/// forward quantizes its activations per row, accumulates in f32 and
+/// adds the bias in f32 (error tolerance: DESIGN.md §9).
+#[derive(Debug, Clone)]
+pub(crate) struct QuantLinear {
+    wq: QuantMatrix,
+    b: DenseMatrix,
+    mode: QuantMode,
+}
+
+impl QuantLinear {
+    /// Quantizes `l`'s weights; `None` for [`QuantMode::F32`], which
+    /// keeps the dense layer.
+    pub(crate) fn new(l: &Linear, mode: QuantMode) -> Option<Self> {
+        Some(QuantLinear { wq: QuantMatrix::quantize(&l.w, mode)?, b: l.b.clone(), mode })
+    }
+
+    /// `Y = q(X)·q(W) + b`.
+    pub(crate) fn forward(&self, x: &DenseMatrix) -> DenseMatrix {
+        let xq = QuantMatrix::quantize(x, self.mode).expect("mode is quantized");
+        let mut y = DenseMatrix::zeros(x.rows(), self.b.cols());
+        sgnn_linalg::qmatmul_into(&xq, &self.wq, &mut y).expect("linear shape mismatch");
+        for r in 0..y.rows() {
+            sgnn_linalg::vecops::axpy(1.0, self.b.row(0), y.row_mut(r));
+        }
+        y
     }
 }
 

@@ -21,5 +21,5 @@ pub mod optim;
 
 pub use layers::{Dropout, Linear, ReLU};
 pub use loss::softmax_cross_entropy;
-pub use mlp::Mlp;
+pub use mlp::{Mlp, QuantMlp};
 pub use optim::{Adam, Optimizer, Sgd};

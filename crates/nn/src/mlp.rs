@@ -5,9 +5,9 @@
 //! Dropout` blocks with a final linear layer, explicit backward, and
 //! optimizer hookup.
 
-use crate::layers::{Dropout, Linear, ReLU};
+use crate::layers::{Dropout, Linear, QuantLinear, ReLU};
 use crate::optim::Optimizer;
-use sgnn_linalg::DenseMatrix;
+use sgnn_linalg::{DenseMatrix, QuantMode};
 
 /// # Example
 ///
@@ -98,26 +98,22 @@ impl Mlp {
 
     /// Inference forward with quantized linear layers (DESIGN.md §9).
     /// `QuantMode::F32` routes through [`Self::forward_inference`] and
-    /// is bitwise-identical to it; `Int8`/`F16` quantize per layer and
-    /// document tolerance instead — the serving engine's quantized head
-    /// path.
-    pub fn forward_inference_quant(
-        &self,
-        x: &DenseMatrix,
-        mode: sgnn_linalg::QuantMode,
-    ) -> DenseMatrix {
-        if !mode.is_quantized() {
-            return self.forward_inference(x);
+    /// is bitwise-identical to it; `Int8`/`F16` run [`QuantMlp::forward`]
+    /// on weights quantized for this call and document tolerance
+    /// instead. The serving engine keeps the [`QuantMlp`].
+    pub fn forward_inference_quant(&self, x: &DenseMatrix, mode: QuantMode) -> DenseMatrix {
+        match self.quantize(mode) {
+            Some(q) => q.forward(x),
+            None => self.forward_inference(x),
         }
-        let mut h = x.clone();
-        let n = self.linears.len();
-        for i in 0..n {
-            h = self.linears[i].forward_inference_quant(&h, mode);
-            if i + 1 < n {
-                h = self.relus[i].forward_inference(&h);
-            }
-        }
-        h
+    }
+
+    /// The inference weights quantized once under `mode`; `None` for
+    /// [`QuantMode::F32`].
+    pub fn quantize(&self, mode: QuantMode) -> Option<QuantMlp> {
+        let linears =
+            self.linears.iter().map(|l| QuantLinear::new(l, mode)).collect::<Option<_>>()?;
+        Some(QuantMlp { linears })
     }
 
     /// Backward pass from logits gradient; returns the input gradient.
@@ -151,6 +147,26 @@ impl Mlp {
             });
         }
         opt.step_done();
+    }
+}
+
+/// An [`Mlp`]'s inference weights quantized once under a lossy
+/// [`QuantMode`] ([`Mlp::quantize`]), for a caller that applies the
+/// head to many batches. Same layers, ReLUs and bits as
+/// [`Mlp::forward_inference_quant`], which runs through it.
+#[derive(Debug, Clone)]
+pub struct QuantMlp {
+    linears: Vec<QuantLinear>,
+}
+
+impl QuantMlp {
+    /// Inference forward: quantized linear layers with ReLU between.
+    pub fn forward(&self, x: &DenseMatrix) -> DenseMatrix {
+        let (first, rest) = self.linears.split_first().expect("an MLP has a layer");
+        rest.iter().fold(first.forward(x), |mut h, l| {
+            h.map_inplace(|v| v.max(0.0));
+            l.forward(&h)
+        })
     }
 }
 
@@ -236,6 +252,26 @@ mod tests {
             let max_err =
                 got.data().iter().zip(exact.data()).fold(0f32, |m, (a, b)| m.max((a - b).abs()));
             assert!(max_err < tol * scale.max(1.0), "{}: max_err {max_err}", mode.label());
+        }
+    }
+
+    #[test]
+    fn quantized_once_equals_layer_by_layer_quantization() {
+        let mlp = Mlp::new(&[6, 12, 9, 4], 0.0, 3);
+        let x = DenseMatrix::gaussian(20, 6, 1.0, 5);
+        assert!(mlp.quantize(QuantMode::F32).is_none());
+        for mode in [QuantMode::Int8, QuantMode::F16] {
+            let n = mlp.linears.len();
+            let mut want = x.clone();
+            for (i, l) in mlp.linears.iter().enumerate() {
+                want = l.forward_inference_quant(&want, mode);
+                if i + 1 < n {
+                    want = mlp.relus[i].forward_inference(&want);
+                }
+            }
+            let q = mlp.quantize(mode).expect("lossy mode");
+            let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&q.forward(&x)), bits(&want), "{}", mode.label());
         }
     }
 

@@ -2,13 +2,18 @@
 //!
 //! Producers push `(node, enqueue-time, optional deadline)` into an
 //! [`AdmissionQueue`]; [`run_server`] drains it in arrival order. When
-//! a query opens a batch, the server keeps admitting queries until
-//! either the deadline window (measured from admission of the *first*
-//! query in the batch) elapses or the batch reaches `max_batch`, then
-//! answers the whole batch with one `serve_batch` call. Deadline
-//! semantics (DESIGN.md §12): the window bounds *added* queueing delay
-//! — a query never waits more than `deadline` past the moment it could
-//! have been served solo, and a full batch is released immediately.
+//! a query opens a batch, the server admits every query already
+//! waiting, and then holds the window open (measured from admission of
+//! the *first* query in the batch) only while a co-arrival is likely:
+//! it waits for the next arrival while the expected gap to it — an
+//! EWMA of the gaps between the `enqueued` stamps it has drained — fits
+//! in the time left. It answers the batch with one `serve_batch` call
+//! once the batch reaches `max_batch`, the window elapses, or the next
+//! arrival is expected after the window closes. The rule is the pure
+//! `window_step`. Deadline semantics (DESIGN.md §12): the window
+//! bounds *added* queueing delay — a query never waits more than
+//! `deadline` past the moment it could have been served solo, and a
+//! full batch is released immediately.
 //!
 //! Timing affects only *when* work happens and how it is grouped, never
 //! the answer bits: `serve_batch` rows are bitwise-equal to
@@ -62,6 +67,9 @@ use std::time::{Duration, Instant};
 
 static BATCHES: sgnn_obs::Counter = sgnn_obs::Counter::new("serve.batch.count");
 static BATCHED_QUERIES: sgnn_obs::Counter = sgnn_obs::Counter::new("serve.batch.queries");
+/// Batch windows closed before `deadline` with room left in the batch:
+/// the next arrival was expected after the window, or the queue closed.
+static EARLY_CLOSE: sgnn_obs::Counter = sgnn_obs::Counter::new("serve.batch.early_close");
 /// Per request: enqueue → batch admission (queueing plus batch window).
 static QUEUE_WAIT_NS: sgnn_obs::Histogram = sgnn_obs::Histogram::new("serve.queue.wait_ns");
 /// Per request: batch admission → answer ready (the engine's batch call).
@@ -70,7 +78,9 @@ static SERVICE_NS: sgnn_obs::Histogram = sgnn_obs::Histogram::new("serve.service
 /// Admission window configuration.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// How long the server holds an open batch for co-arriving queries.
+    /// The longest the server holds an open batch for co-arriving
+    /// queries. It closes sooner when the next arrival is expected after
+    /// the window ends.
     pub deadline: Duration,
     /// Hard cap on coalesced batch size.
     pub max_batch: usize,
@@ -196,6 +206,12 @@ impl AdmissionQueue {
         self.lock_inner().q.len()
     }
 
+    /// Queries currently waiting, and whether the queue is closed.
+    fn state(&self) -> (usize, bool) {
+        let inner = self.lock_inner();
+        (inner.q.len(), inner.closed)
+    }
+
     /// Arrivals rejected because the queue was at capacity.
     pub fn shed_count(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
@@ -227,6 +243,89 @@ impl AdmissionQueue {
             inner = self.arrived.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
     }
+
+    /// Blocks until a query is waiting, the queue is closed, or `until`
+    /// passes. Woken by the same notifications as
+    /// [`wait_nonempty`](Self::wait_nonempty), so a co-arrival is
+    /// admitted when it lands.
+    fn wait_arrival(&self, until: Instant) {
+        let mut inner = self.lock_inner();
+        while inner.q.is_empty() && !inner.closed {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            inner =
+                self.arrived.wait_timeout(inner, left).unwrap_or_else(PoisonError::into_inner).0;
+        }
+    }
+}
+
+/// The inter-arrival EWMA gives the newest gap weight `1 / GAP_WEIGHT_DIV`.
+const GAP_WEIGHT_DIV: u64 = 8;
+
+/// EWMA of the gaps between consecutive `enqueued` stamps of the
+/// queries the server drains: the expected wait for the next arrival.
+#[derive(Debug, Default)]
+struct ArrivalGap {
+    last: Option<Instant>,
+    ewma_ns: Option<u64>,
+}
+
+impl ArrivalGap {
+    fn observe(&mut self, drained: &[Pending]) {
+        for p in drained {
+            if let Some(last) = self.last {
+                let gap = p.enqueued.saturating_duration_since(last).as_nanos() as u64;
+                self.ewma_ns = Some(match self.ewma_ns {
+                    Some(e) => e - e / GAP_WEIGHT_DIV + gap / GAP_WEIGHT_DIV,
+                    None => gap,
+                });
+            }
+            self.last = Some(p.enqueued);
+        }
+    }
+
+    fn estimate(&self) -> Option<Duration> {
+        self.ewma_ns.map(Duration::from_nanos)
+    }
+}
+
+/// What an open batch does next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WindowStep {
+    /// Answer the batch now.
+    Dispatch,
+    /// Admit the queries already waiting.
+    Drain,
+    /// Wait for the next arrival at most this long: past it, the time
+    /// left in the window is shorter than the expected gap.
+    Wait(Duration),
+}
+
+/// The batch-window rule, a pure function of the open batch's size,
+/// the queue depth, the expected gap to the next arrival (`None`: no
+/// estimate yet, or the queue is closed) and the time left in the
+/// window. A full batch or an elapsed window dispatches; waiting
+/// queries are drained; an empty queue is waited on only while the
+/// next arrival is expected inside the window.
+fn window_step(
+    pending: usize,
+    max_batch: usize,
+    depth: usize,
+    gap: Option<Duration>,
+    left: Duration,
+) -> WindowStep {
+    if pending >= max_batch || left.is_zero() {
+        return WindowStep::Dispatch;
+    }
+    if depth > 0 {
+        return WindowStep::Drain;
+    }
+    match gap {
+        Some(g) if g <= left => WindowStep::Wait(left - g),
+        _ => WindowStep::Dispatch,
+    }
 }
 
 /// Serves the queue to exhaustion (queue closed *and* drained),
@@ -243,6 +342,7 @@ pub fn run_server(
     assert!(cfg.max_batch >= 1, "max_batch must admit at least one query");
     let mut served = Vec::new();
     let mut pending: Vec<Pending> = Vec::with_capacity(cfg.max_batch);
+    let mut arrivals = ArrivalGap::default();
     while queue.wait_nonempty() {
         pending.clear();
         // Depth at batch admission — the observable the pressure ladder
@@ -253,18 +353,30 @@ pub fn run_server(
         if pending.is_empty() {
             continue;
         }
-        // Hold the window open for co-arrivals, measured from admission
-        // of the batch opener.
+        arrivals.observe(&pending);
+        // Hold the window open while a co-arrival is likely, measured
+        // from admission of the batch opener.
         let window_end = Instant::now() + cfg.deadline;
-        while pending.len() < cfg.max_batch {
+        loop {
             let now = Instant::now();
-            if now >= window_end {
-                break;
+            let left = window_end.saturating_duration_since(now);
+            let (depth, closed) = queue.state();
+            // A closed queue has no next arrival to wait for.
+            let gap = if closed { None } else { arrivals.estimate() };
+            match window_step(pending.len(), cfg.max_batch, depth, gap, left) {
+                WindowStep::Dispatch => {
+                    if pending.len() < cfg.max_batch && !left.is_zero() {
+                        EARLY_CLOSE.incr();
+                    }
+                    break;
+                }
+                WindowStep::Drain => {
+                    let from = pending.len();
+                    queue.drain(cfg.max_batch, &mut pending);
+                    arrivals.observe(&pending[from..]);
+                }
+                WindowStep::Wait(at_most) => queue.wait_arrival(now + at_most),
             }
-            if queue.depth() == 0 {
-                std::thread::sleep((window_end - now).min(Duration::from_micros(50)));
-            }
-            queue.drain(cfg.max_batch, &mut pending);
         }
         let pressure =
             cfg.overload.as_ref().map_or(Pressure::Normal, |o| o.pressure.level(depth_at_open));
@@ -369,6 +481,55 @@ mod tests {
         producer.join().unwrap();
         assert_eq!(served.len(), 200);
         assert!(served.iter().any(|s| s.batch_size > 1), "no query was ever coalesced");
+    }
+
+    const US: Duration = Duration::from_micros(1);
+
+    #[test]
+    fn sparse_arrivals_dispatch_at_once() {
+        // Arrivals ~3 ms apart never land inside a 200 µs window.
+        assert_eq!(window_step(1, 64, 0, Some(US * 3_000), US * 200), WindowStep::Dispatch);
+        // Nor once part of the window has gone by and the gap no longer fits.
+        assert_eq!(window_step(3, 64, 0, Some(US * 150), US * 149), WindowStep::Dispatch);
+    }
+
+    #[test]
+    fn dense_arrivals_wait_until_the_gap_no_longer_fits() {
+        assert_eq!(window_step(1, 64, 0, Some(US * 10), US * 200), WindowStep::Wait(US * 190));
+        assert_eq!(window_step(5, 64, 0, Some(US * 50), US * 50), WindowStep::Wait(Duration::ZERO));
+    }
+
+    #[test]
+    fn full_batch_or_elapsed_window_dispatches() {
+        assert_eq!(window_step(64, 64, 9, Some(US), US * 200), WindowStep::Dispatch);
+        assert_eq!(window_step(3, 64, 9, Some(US), Duration::ZERO), WindowStep::Dispatch);
+    }
+
+    #[test]
+    fn no_estimate_yet_dispatches() {
+        assert_eq!(window_step(1, 64, 0, None, US * 200), WindowStep::Dispatch);
+    }
+
+    #[test]
+    fn nonempty_queue_keeps_draining() {
+        // Whatever the estimate: waiting queries are admitted first.
+        for gap in [None, Some(US), Some(US * 10_000)] {
+            assert_eq!(window_step(1, 64, 1, gap, US * 200), WindowStep::Drain);
+        }
+    }
+
+    #[test]
+    fn gap_estimate_is_an_ewma_of_drained_stamps() {
+        let t0 = Instant::now();
+        let at = |us: u32| Pending { node: 0, enqueued: t0 + US * us, deadline: None };
+        let mut a = ArrivalGap::default();
+        a.observe(&[at(0)]);
+        assert_eq!(a.estimate(), None, "one stamp has no gap");
+        a.observe(&[at(800)]);
+        assert_eq!(a.estimate(), Some(US * 800), "the first gap seeds the estimate");
+        a.observe(&[at(808), at(816)]);
+        // Each gap of 8 µs: 800 − 800/8 + 8/8 = 701 µs, then 701 − 701/8 + 1 = 614.375 µs.
+        assert_eq!(a.estimate(), Some(Duration::from_nanos(614_375)));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::store::{EmbeddingStore, PrecomputePolicy};
 use sgnn_fault::FaultPlan;
 use sgnn_graph::{CsrGraph, NodeId};
 use sgnn_linalg::{DenseMatrix, QuantMode};
-use sgnn_nn::Mlp;
+use sgnn_nn::{Mlp, QuantMlp};
 use sgnn_prop::PushWorkspace;
 use std::sync::Arc;
 
@@ -152,11 +152,18 @@ pub struct PressuredRequest {
     pub expired: bool,
 }
 
+/// The head an engine applies: f32, or quantized once under
+/// `ServeConfig::quant` when the engine is built.
+enum Head {
+    F32(Mlp),
+    Quant(QuantMlp),
+}
+
 /// Request-driven inference over a fixed `(graph, features, head)`.
 pub struct ServeEngine {
     g: CsrGraph,
     x: DenseMatrix,
-    head: Mlp,
+    head: Head,
     cfg: ServeConfig,
     store: EmbeddingStore,
     planner: QueryPlanner,
@@ -170,6 +177,7 @@ impl ServeEngine {
     /// Builds the store and planner and takes ownership of the serving
     /// state.
     pub fn new(g: CsrGraph, x: DenseMatrix, head: Mlp, cfg: ServeConfig) -> Self {
+        let head = head.quantize(cfg.quant).map_or(Head::F32(head), Head::Quant);
         let store = EmbeddingStore::build(&g, &x, cfg.alpha, &cfg.policy);
         let planner = QueryPlanner::new(&g, cfg.planner.clone());
         let cache = LruCache::new(cfg.cache_capacity);
@@ -413,10 +421,9 @@ impl ServeEngine {
     }
 
     fn head_forward(&self, emb: &DenseMatrix) -> DenseMatrix {
-        if self.cfg.quant.is_quantized() {
-            self.head.forward_inference_quant(emb, self.cfg.quant)
-        } else {
-            self.head.forward_inference(emb)
+        match &self.head {
+            Head::F32(mlp) => mlp.forward_inference(emb),
+            Head::Quant(q) => q.forward(emb),
         }
     }
 

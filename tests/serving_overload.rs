@@ -29,7 +29,7 @@ use sgnn::serve::{
     ServeStats, Strategy,
 };
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes tests that flip the global thread count (same pattern as
 /// `tests/serving_equivalence.rs`).
@@ -412,4 +412,59 @@ fn full_store_repair_is_caught_once_and_leaves_other_answers_alone() {
     let mut s = clean.stats().clone();
     s.store_repairs = chaotic.stats().store_repairs;
     assert_eq!(&s, chaotic.stats(), "all other counters must match the clean run");
+}
+
+/// The batch window waits only when a co-arrival is likely: queries
+/// that arrive further apart than the window are each answered at once
+/// instead of after waiting the window out.
+#[test]
+fn sparse_arrivals_are_answered_well_inside_the_window() {
+    const GAP: Duration = Duration::from_millis(120);
+    const WINDOW: Duration = Duration::from_millis(100);
+    let q = Arc::new(AdmissionQueue::new());
+    let producer = {
+        let q = Arc::clone(&q);
+        std::thread::spawn(move || {
+            for u in [3u32, 40, 3, 99, 7] {
+                assert!(q.push(u));
+                std::thread::sleep(GAP);
+            }
+            q.close();
+        })
+    };
+    let mut e = engine(hot(), None);
+    let served =
+        run_server(&mut e, &q, &BatchConfig { deadline: WINDOW, max_batch: 64, overload: None });
+    producer.join().unwrap();
+    assert_eq!(served.len(), 5);
+    for s in &served {
+        assert_eq!(s.batch_size, 1, "no co-arrival inside the window");
+        assert!(
+            Duration::from_nanos(s.latency_ns) < WINDOW / 2,
+            "node {} waited {} ms of a {WINDOW:?} window",
+            s.node,
+            s.latency_ns as f64 / 1e6
+        );
+    }
+}
+
+/// A backlog is served in full batches, and the last, partial batch of
+/// a closed queue is answered at once: nothing more can arrive.
+#[test]
+fn prefilled_queue_is_served_in_max_batch_batches() {
+    let q = AdmissionQueue::new();
+    for i in 0..200u32 {
+        assert!(q.push((i * 7) % N as u32));
+    }
+    q.close();
+    let mut e = engine(hot(), None);
+    let window = Duration::from_secs(2);
+    let t = Instant::now();
+    let served =
+        run_server(&mut e, &q, &BatchConfig { deadline: window, max_batch: 16, overload: None });
+    assert!(t.elapsed() < window / 2, "a closed queue's last batch must not wait the window out");
+    assert_eq!(served.len(), 200);
+    let sizes: Vec<usize> = served.chunks(16).map(|c| c[0].batch_size).collect();
+    assert_eq!(sizes, [vec![16; 12], vec![8]].concat());
+    assert!(served.chunks(16).all(|c| c.iter().all(|s| s.batch_size == c.len())));
 }
