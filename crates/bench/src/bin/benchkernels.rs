@@ -13,10 +13,11 @@
 //! `linalg.*.bytes_moved` roofline counters (DESIGN.md §9), so the JSON
 //! attributes every speedup: arithmetic intensity says whether a variant
 //! is bandwidth- or compute-bound, the `simd_backend` field says which
-//! lane width produced the numbers, and the quantized rows show the gather
-//! bytes int8/f16 payloads save. Before timing, the bitwise contract
+//! lane width produced the numbers, and the `qmatmul_*` rows time the
+//! serving head's quantized GEMM. Before timing, the bitwise contract
 //! (`spmm_into` ≡ `spmm_blocked_into` at a fixed non-auto tile) and the
-//! quantization tolerance are asserted on the bench workload itself.
+//! quantized GEMM's tolerance against `matmul_f32` on the same operands
+//! are asserted on the bench workload itself.
 //! The `grad_fx` row (the exact fixed-point `Xᵀ·dY` fold of training's
 //! backward pass) carries analytic counts, and its gradient-scale inputs
 //! are asserted to keep every block on the fold's `i64` fast path.
@@ -27,7 +28,7 @@
 //! enabled-path overhead; leave the flag off when recording baselines.
 
 use sgnn_bench::kernel_baseline::scoped_chunks;
-use sgnn_graph::blocked::{spmm_blocked_into, spmm_quant_into, BlockSpec};
+use sgnn_graph::blocked::{spmm_blocked_into, BlockSpec};
 use sgnn_graph::normalize::{normalized_adjacency, NormKind};
 use sgnn_graph::spmm::{spmm_into, spmv};
 use sgnn_graph::{generate, CsrGraph};
@@ -109,8 +110,11 @@ fn attribute(prefix: &str, keep_on: bool, f: impl FnOnce()) -> (u64, u64) {
     (get(format!("{prefix}.flops")), get(format!("{prefix}.bytes_moved")))
 }
 
-fn max_abs_diff(a: &DenseMatrix, b: &DenseMatrix) -> f32 {
-    a.data().iter().zip(b.data()).fold(0f32, |m, (x, y)| m.max((x - y).abs()))
+/// Largest `|got − exact|` element in units of `max(1, max|exact|)` — the
+/// scale of the quantized MLP logit bound (DESIGN.md §9).
+fn max_scaled_err(got: &DenseMatrix, exact: &DenseMatrix) -> f32 {
+    let scale = exact.data().iter().fold(1f32, |m, v| m.max(v.abs()));
+    got.data().iter().zip(exact.data()).fold(0f32, |m, (x, y)| m.max((x - y).abs())) / scale
 }
 
 fn main() {
@@ -189,39 +193,12 @@ fn main() {
         "spmm_into diverged from spmm_blocked_into — bitwise contract broken"
     );
 
-    // Contract check 2: quantized aggregation stays inside tolerance
-    // (sym-normalized rows sum ≤ 1, features ~N(0,1); DESIGN.md §9).
-    let xq8 = QuantMatrix::quantize_i8(&x);
-    let xq16 = QuantMatrix::quantize_f16(&x);
-    let mut yq = DenseMatrix::zeros(n, d);
-    spmm_quant_into(&a, &xq8, &mut yq, spec);
-    let err_i8 = max_abs_diff(&yq, &y);
-    spmm_quant_into(&a, &xq16, &mut yq, spec);
-    let err_f16 = max_abs_diff(&yq, &y);
-    assert!(err_i8 < 0.05, "int8 aggregation error {err_i8} out of tolerance");
-    assert!(err_f16 < 0.01, "f16 aggregation error {err_f16} out of tolerance");
-
-    // Roofline attribution: counters from one observed call per variant.
-    let (fl_spmm, by_spmm) = attribute("linalg.spmm", false, || spmm_into(&a, &x, &mut y));
-    let (fl_q8, by_q8) =
-        attribute("linalg.spmm_quant", false, || spmm_quant_into(&a, &xq8, &mut yq, spec));
-    let (fl_q16, by_q16) =
-        attribute("linalg.spmm_quant", obs_json, || spmm_quant_into(&a, &xq16, &mut yq, spec));
-
+    // Roofline attribution: counters from one observed call.
+    let (fl_spmm, by_spmm) = attribute("linalg.spmm", obs_json, || spmm_into(&a, &x, &mut y));
     let spmm_rounds = if quick { 7 } else { 15 };
     let balanced = time_median(spmm_rounds, || spmm_into(black_box(&a), black_box(&x), &mut y));
-    let mut yq2 = DenseMatrix::zeros(n, d);
-    let (quant_i8, quant_f16) = time_interleaved(
-        spmm_rounds,
-        || spmm_quant_into(black_box(&a), black_box(&xq8), &mut yq, spec),
-        || spmm_quant_into(black_box(&a), black_box(&xq16), &mut yq2, spec),
-    );
-
-    let mut kernels: Vec<Kernel> = vec![
-        Kernel { name: "spmm_balanced", seconds: balanced, flops: fl_spmm, bytes: by_spmm },
-        Kernel { name: "spmm_quant_int8", seconds: quant_i8, flops: fl_q8, bytes: by_q8 },
-        Kernel { name: "spmm_quant_f16", seconds: quant_f16, flops: fl_q16, bytes: by_q16 },
-    ];
+    let mut kernels: Vec<Kernel> =
+        vec![Kernel { name: "spmm_balanced", seconds: balanced, flops: fl_spmm, bytes: by_spmm }];
 
     // --- spmv on the same operator. ---
     let xv: Vec<f32> = x.data()[..n].to_vec();
@@ -239,9 +216,19 @@ fn main() {
         time_median(rounds, || black_box(&x).matmul_into(black_box(&w), &mut h).unwrap());
     kernels.push(Kernel { name: "matmul_f32", seconds: matmul_t, flops: fl_mm, bytes: by_mm });
 
+    // Contract check 2: the quantized GEMM stays inside the head's logit
+    // tolerance of the f32 one on the same operands (DESIGN.md §9).
+    let xq8 = QuantMatrix::quantize_i8(&x);
+    let xq16 = QuantMatrix::quantize_f16(&x);
     let wq8 = QuantMatrix::quantize_i8(&w);
     let wq16 = QuantMatrix::quantize_f16(&w);
     let mut h2 = DenseMatrix::zeros(n, d);
+    qmatmul_into(&xq8, &wq8, &mut h2).unwrap();
+    let err_i8 = max_scaled_err(&h2, &h);
+    qmatmul_into(&xq16, &wq16, &mut h2).unwrap();
+    let err_f16 = max_scaled_err(&h2, &h);
+    assert!(err_i8 < 0.05, "int8 GEMM error {err_i8} out of tolerance");
+    assert!(err_f16 < 0.01, "f16 GEMM error {err_f16} out of tolerance");
     let (qmm_i8, qmm_f16) = time_interleaved(
         rounds,
         || qmatmul_into(black_box(&xq8), black_box(&wq8), &mut h).unwrap(),
@@ -317,8 +304,8 @@ fn main() {
         json.push_str(&format!("    \"{}\": {}{comma}\n", k.name, k.json()));
     }
     json.push_str("  },\n");
-    json.push_str(&format!("  \"quant_max_abs_err_int8\": {err_i8:.6},\n"));
-    json.push_str(&format!("  \"quant_max_abs_err_f16\": {err_f16:.6},\n"));
+    json.push_str(&format!("  \"qmatmul_max_abs_err_int8\": {err_i8:.6},\n"));
+    json.push_str(&format!("  \"qmatmul_max_abs_err_f16\": {err_f16:.6},\n"));
     json.push_str(&format!("  \"dispatch_speedup_vs_scoped\": {dispatch_speedup:.3}\n"));
     json.push_str("}\n");
 

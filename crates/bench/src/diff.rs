@@ -359,7 +359,7 @@ mod tests {
             "spmm_balanced": {"seconds": 0.1, "flops": 1000, "bytes_moved": 4000,
                               "intensity_flops_per_byte": 0.25, "gflops": 2.0}
         },
-        "quant_max_abs_err_int8": 0.01,
+        "qmatmul_max_abs_err_int8": 0.01,
         "spmm_speedup_vs_rowcount": 1.4,
         "grid": [{"k": 4, "epoch_secs": 0.2, "halo_bytes_per_epoch": 512}]
     }"#;
@@ -535,8 +535,8 @@ mod tests {
             ("gflops", HigherBetterRate),
             ("gbytes_per_sec", HigherBetterRate),
             ("dispatch_speedup_vs_scoped", HigherBetterRate),
-            ("quant_max_abs_err_int8", ErrorBound),
-            ("quant_max_abs_err_f16", ErrorBound),
+            ("qmatmul_max_abs_err_int8", ErrorBound),
+            ("qmatmul_max_abs_err_f16", ErrorBound),
             // Tiny dispatch timings under `timings_sec`: the leaf carries
             // no unit, and the values sit below the time floor anyway.
             ("dispatch_pooled_tiny", Unknown),

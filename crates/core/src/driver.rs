@@ -74,8 +74,9 @@ pub(crate) struct Epoch<'r> {
 impl<'c> Driver<'c> {
     /// Checks the dataset and builds the ledger with the tightest of the
     /// config budget, the fault plan's budget and `SGNN_MEM_BUDGET`. A
-    /// dataset that fails [`Dataset::validate`] or has no training row
-    /// is refused before any work, in O(n) once per run.
+    /// dataset that fails [`Dataset::validate`] (non-finite features
+    /// included) or has no training row is refused before any work, in
+    /// O(n·d + n) once per run.
     pub(crate) fn new(cfg: &'c TrainConfig, ds: &Dataset) -> TrainResult<Self> {
         // Every argmax path assumes `num_classes ≥ 1`.
         if ds.num_classes == 0 {

@@ -10,11 +10,10 @@
 //! graph, on GraphSAINT / Cluster-GCN subgraph batches, or on a coarse
 //! graph (experiments E3/E12) without copies.
 
-use sgnn_graph::blocked::{spmm_quant_into, BlockSpec};
 use sgnn_graph::normalize::{normalized_adjacency, NormKind};
 use sgnn_graph::spmm::{spmm, spmm_into};
 use sgnn_graph::CsrGraph;
-use sgnn_linalg::{DenseMatrix, QuantMatrix, QuantMode};
+use sgnn_linalg::DenseMatrix;
 use sgnn_nn::layers::{Dropout, Linear};
 use sgnn_nn::optim::Optimizer;
 
@@ -230,37 +229,6 @@ impl Gcn {
         (0..self.linears.len()).fold(x.clone(), |h, i| self.layer_forward(i, &spmm(op, &h), None).0)
     }
 
-    /// Inference forward under a numeric `mode` — the serving path.
-    ///
-    /// [`QuantMode::F32`] (the default) is exactly
-    /// [`forward_inference`](Self::forward_inference). The quantized modes
-    /// re-quantize each layer's activations per row, run the quantized
-    /// SpMM (int8/f16 gathers, f32 accumulate) and the quantized GEMM, and
-    /// keep ReLU/bias in f32. Training never touches this path; the error
-    /// tolerance is documented in DESIGN.md §9 and pinned by tests.
-    pub fn forward_inference_quant(
-        &self,
-        op: &CsrGraph,
-        x: &DenseMatrix,
-        mode: QuantMode,
-    ) -> DenseMatrix {
-        if !mode.is_quantized() {
-            return self.forward_inference(op, x);
-        }
-        let mut h = x.clone();
-        let n = self.linears.len();
-        for i in 0..n {
-            let xq = QuantMatrix::quantize(&h, mode).expect("mode is quantized");
-            let mut ah = DenseMatrix::zeros(h.rows(), h.cols());
-            spmm_quant_into(op, &xq, &mut ah, BlockSpec::auto(op, h.cols()));
-            h = self.linears[i].forward_inference_quant(&ah, mode);
-            if i + 1 < n {
-                h.map_inplace(|v| v.max(0.0));
-            }
-        }
-        h
-    }
-
     /// Backward from the logits gradient through the same operator. The
     /// layer-0 input gradient is never formed: nothing reads it.
     ///
@@ -411,35 +379,6 @@ mod tests {
         let sub_logits = gcn.forward_inference(&op_sub, &ds.features.gather_rows(&rows));
         assert_eq!(full.shape(), (100, 2));
         assert_eq!(sub_logits.shape(), (40, 2));
-    }
-
-    #[test]
-    fn quantized_inference_tracks_f32_within_tolerance() {
-        // Fixed-seed forward: quantized logits must stay inside the
-        // DESIGN.md §9 tolerance and agree with f32 on almost every label.
-        let ds = sbm_dataset(300, 3, 8.0, 0.85, 16, 1.0, 0, 0.5, 0.25, 9);
-        let op = gcn_operator(&ds.graph);
-        let gcn = Gcn::new(16, 3, &GcnConfig { hidden: vec![32], dropout: 0.0, seed: 12 });
-        let exact = gcn.forward_inference(&op, &ds.features);
-        // F32 mode is the identical code path — bitwise equal.
-        let f32_mode = gcn.forward_inference_quant(&op, &ds.features, QuantMode::F32);
-        assert_eq!(f32_mode.data(), exact.data());
-        let scale = exact.data().iter().fold(0f32, |m, v| m.max(v.abs()));
-        for (mode, tol) in [(QuantMode::Int8, 0.05f32), (QuantMode::F16, 0.01f32)] {
-            let got = gcn.forward_inference_quant(&op, &ds.features, mode);
-            let mut max_err = 0f32;
-            for (a, b) in got.data().iter().zip(exact.data()) {
-                max_err = max_err.max((a - b).abs());
-            }
-            assert!(max_err < tol * scale.max(1.0), "{}: max_err {max_err}", mode.label());
-            let agree = (0..300)
-                .filter(|&r| {
-                    sgnn_linalg::vecops::argmax(got.row(r))
-                        == sgnn_linalg::vecops::argmax(exact.row(r))
-                })
-                .count();
-            assert!(agree >= 295, "{}: only {agree}/300 labels agree", mode.label());
-        }
     }
 
     #[test]

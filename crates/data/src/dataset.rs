@@ -52,10 +52,16 @@ impl Dataset {
         self.graph.nbytes() + self.features.nbytes() + self.labels.len() * 8
     }
 
-    /// Checks internal consistency (shapes, label range, split validity).
+    /// Checks internal consistency (shapes, finite features, label range,
+    /// split validity). One O(n·d + n) pass: a NaN or ±inf feature would
+    /// otherwise be absorbed by training without any signal (DESIGN.md §8).
     pub fn validate(&self) -> Result<(), String> {
         if self.features.rows() != self.num_nodes() {
             return Err("feature rows != nodes".into());
+        }
+        if let Some(i) = self.features.data().iter().position(|v| !v.is_finite()) {
+            let d = self.feature_dim();
+            return Err(format!("non-finite feature at node {}, column {}", i / d, i % d));
         }
         if self.labels.len() != self.num_nodes() {
             return Err("labels != nodes".into());

@@ -1,5 +1,5 @@
 //! The tiled SpMM body: the one f32 aggregation kernel behind
-//! [`spmm_into`](crate::spmm::spmm_into), and its quantized inference twin.
+//! [`spmm_into`](crate::spmm::spmm_into).
 //!
 //! `spmm_into` runs every feature width d ≥ 5 through this module's
 //! register-gather body with [`BlockSpec::auto`] tiles;
@@ -23,23 +23,14 @@
 //! delegate to `spmm_into`'s register micro-kernels outright (blocking
 //! cannot split them and their accumulate-from-zero order differs on
 //! `-0.0`).
-//!
-//! [`spmm_quant_into`] is the inference-only quantized twin: it gathers
-//! int8/f16 payloads (4×/2× fewer bytes per edge) over the same tiles and
-//! accumulates in f32; its error tolerance is documented in DESIGN.md §9
-//! and pinned by tests.
 
 use crate::csr::CsrGraph;
 use crate::spmm::{spmm_bytes, spmm_flops, MIN_PAR_WORK};
-use sgnn_linalg::quant::{QuantMatrix, QuantPayload};
 use sgnn_linalg::{par, simd, DenseMatrix};
 
 static BLOCKED_CALLS: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_blocked.calls");
 static BLOCKED_FLOPS: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_blocked.flops");
 static BLOCKED_BYTES: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_blocked.bytes_moved");
-static QUANT_CALLS: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_quant.calls");
-static QUANT_FLOPS: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_quant.flops");
-static QUANT_BYTES: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_quant.bytes_moved");
 
 /// Tile geometry for the blocked SpMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,53 +136,6 @@ where
     });
 }
 
-/// `Y = A · Xq` over quantized features — the inference-only serving
-/// path. Accumulates in f32 from a zeroed window; per-source scales fold
-/// into the per-edge coefficient. Error bound: DESIGN.md §9.
-pub fn spmm_quant_into(g: &CsrGraph, xq: &QuantMatrix, y: &mut DenseMatrix, spec: BlockSpec) {
-    assert_eq!(xq.rows(), g.num_nodes(), "feature rows must equal node count");
-    assert_eq!(
-        y.shape(),
-        (g.num_nodes(), xq.cols()),
-        "output shape must be (num_nodes, feature_cols)"
-    );
-    assert!(spec.row_block > 0 && spec.col_block > 0, "block sizes must be positive");
-    let d = xq.cols();
-    if d == 0 {
-        return;
-    }
-    let _sp = sgnn_obs::span!("linalg.spmm_quant");
-    QUANT_CALLS.incr();
-    QUANT_FLOPS.add(spmm_flops(g, d) + g.num_edges() as u64 * d as u64);
-    QUANT_BYTES.add(spmm_quant_bytes(g, xq));
-    let indices = g.indices();
-    let weights = g.weights();
-    let scales = xq.scales();
-    match xq.payload() {
-        QuantPayload::I8(q) => for_each_window(g, d, y.data_mut(), spec, |out, lo, hi, c0| {
-            let ws = weights.map(|w| &w[lo..hi]);
-            simd::row_gather_q_i8(out, q, scales, d, c0, &indices[lo..hi], ws)
-        }),
-        QuantPayload::F16(h) => for_each_window(g, d, y.data_mut(), spec, |out, lo, hi, c0| {
-            let ws = weights.map(|w| &w[lo..hi]);
-            simd::row_gather_q_f16(out, h, scales, d, c0, &indices[lo..hi], ws)
-        }),
-    }
-}
-
-/// Analytic compulsory traffic for [`spmm_quant_into`]: quantized payload
-/// gathers plus scale lookups, f32 output (compare with
-/// [`crate::spmm::spmm_bytes`] for the f32 gather volume this saves).
-pub fn spmm_quant_bytes(g: &CsrGraph, xq: &QuantMatrix) -> u64 {
-    let nnz = g.num_edges() as u64;
-    let n = g.num_nodes() as u64;
-    let d = xq.cols() as u64;
-    let elem = xq.mode().elem_bytes() as u64;
-    let index_stream = 4 * nnz + 8 * (n + 1);
-    let weight_stream = if g.weights().is_some() { 4 * nnz } else { 0 };
-    index_stream + weight_stream + 4 * nnz + elem * d * nnz + 4 * n * d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +143,6 @@ mod tests {
     use crate::normalize::{normalized_adjacency, NormKind};
     use crate::reorder::{compute_order, relabel, Reordering};
     use crate::spmm::{spmm, spmm_into};
-    use sgnn_linalg::QuantMode;
 
     fn bits(m: &DenseMatrix) -> Vec<u32> {
         m.data().iter().map(|v| v.to_bits()).collect()
@@ -268,40 +211,6 @@ mod tests {
         let mut y = DenseMatrix::from_vec(5, 9, vec![f32::NAN; 45]);
         spmm_blocked_into(&g, &x, &mut y, BlockSpec { row_block: 2, col_block: 4 });
         assert_eq!(bits(&y), bits(&want));
-    }
-
-    #[test]
-    fn quant_spmm_stays_inside_documented_tolerance() {
-        let g = normalized_adjacency(&generate::barabasi_albert(500, 5, 7), NormKind::Sym, true)
-            .unwrap();
-        let d = 48;
-        let x = DenseMatrix::gaussian(500, d, 1.0, 11);
-        let exact = spmm(&g, &x);
-        let spec = BlockSpec::auto(&g, d);
-        for (mode, tol) in [(QuantMode::Int8, 2e-2f32), (QuantMode::F16, 4e-3f32)] {
-            let xq = QuantMatrix::quantize(&x, mode).unwrap();
-            let mut y = DenseMatrix::zeros(500, d);
-            spmm_quant_into(&g, &xq, &mut y, spec);
-            let mut max_err = 0f32;
-            for (a, b) in y.data().iter().zip(exact.data()) {
-                max_err = max_err.max((a - b).abs());
-            }
-            // Normalized adjacency keeps row sums ≤ 1, so the aggregate
-            // error stays near the per-element quantization step.
-            assert!(max_err < tol, "{}: max_err {max_err}", mode.label());
-            assert!(max_err > 0.0, "{}: suspiciously exact", mode.label());
-        }
-    }
-
-    #[test]
-    fn quant_bytes_shrink_with_payload_width() {
-        let g = normalized_adjacency(&generate::barabasi_albert(100, 4, 2), NormKind::Sym, true)
-            .unwrap();
-        let x = DenseMatrix::gaussian(100, 64, 1.0, 1);
-        let f32_bytes = crate::spmm::spmm_bytes(&g, 64);
-        let q8 = spmm_quant_bytes(&g, &QuantMatrix::quantize_i8(&x));
-        let q16 = spmm_quant_bytes(&g, &QuantMatrix::quantize_f16(&x));
-        assert!(q8 < q16 && q16 < f32_bytes, "{q8} {q16} {f32_bytes}");
     }
 
     #[test]

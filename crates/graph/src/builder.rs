@@ -102,11 +102,6 @@ impl GraphBuilder {
         self.w.push(w);
     }
 
-    /// Number of staged (directed) edges before symmetrization/merging.
-    pub fn staged_edges(&self) -> usize {
-        self.src.len()
-    }
-
     /// Builds the CSR graph: bounds-check, (optionally) mirror, sort
     /// per-row, merge duplicates by summing weights.
     pub fn build(self) -> Result<CsrGraph> {

@@ -322,16 +322,6 @@ impl CsrGraph {
         CsrGraph::from_parts(globals.len(), indptr, indices, weights)
     }
 
-    /// Returns a copy with unit weights dropped (structure only).
-    pub fn without_weights(&self) -> CsrGraph {
-        CsrGraph {
-            n: self.n,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
-            weights: None,
-        }
-    }
-
     /// Returns a copy carrying the given weight buffer (parallel to
     /// `indices`).
     pub fn with_weights(&self, weights: Vec<f32>) -> Result<CsrGraph> {

@@ -19,8 +19,7 @@
 //! - [`spmm`] — parallel sparse×dense products, plus `f64` operator adapters
 //!   ([`CsrOpF64`]) feeding the eigensolvers in `sgnn-linalg`.
 //! - [`blocked`] — the tiled register-gather SpMM body `spmm` runs for
-//!   d ≥ 5 (with explicit tiles via `spmm_blocked_into`) and the
-//!   quantized inference SpMM (DESIGN.md §9).
+//!   d ≥ 5 (with explicit tiles via `spmm_blocked_into`; DESIGN.md §9).
 //! - [`traverse`] — BFS, connected components, k-hop neighborhoods.
 //! - [`io`] — text edge-list and binary (`bytes`-based) persistence.
 

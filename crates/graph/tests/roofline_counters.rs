@@ -3,7 +3,7 @@
 //! observability state is process-global: any other test calling a kernel
 //! while obs is enabled would perturb the exact counts asserted here.
 
-use sgnn_graph::blocked::{spmm_blocked_into, spmm_quant_into, BlockSpec};
+use sgnn_graph::blocked::{spmm_blocked_into, BlockSpec};
 use sgnn_graph::generate;
 use sgnn_graph::normalize::{normalized_adjacency, NormKind};
 use sgnn_graph::spmm::{spmm_bytes, spmm_flops, spmm_into};
@@ -31,8 +31,6 @@ fn roofline_counters_match_analytic_models() {
     sgnn_obs::reset();
     spmm_into(&g, &x, &mut y);
     spmm_blocked_into(&g, &x, &mut y, BlockSpec::auto(&g, d));
-    let xq = QuantMatrix::quantize_i8(&x);
-    spmm_quant_into(&g, &xq, &mut y, BlockSpec::auto(&g, d));
     let a = DenseMatrix::gaussian(6, 10, 1.0, 2);
     let b = DenseMatrix::gaussian(10, 4, 1.0, 3);
     let mut ab = DenseMatrix::zeros(6, 4);
@@ -48,15 +46,6 @@ fn roofline_counters_match_analytic_models() {
     assert_eq!(counter(&report, "linalg.spmm.bytes_moved"), spmm_bytes(&g, d));
     assert_eq!(counter(&report, "linalg.spmm_blocked.flops"), spmm_flops(&g, d));
     assert_eq!(counter(&report, "linalg.spmm_blocked.bytes_moved"), spmm_bytes(&g, d));
-    // Quantized SpMM: dequantize-multiply adds one extra flop per element.
-    assert_eq!(
-        counter(&report, "linalg.spmm_quant.flops"),
-        spmm_flops(&g, d) + g.num_edges() as u64 * d as u64
-    );
-    assert_eq!(
-        counter(&report, "linalg.spmm_quant.bytes_moved"),
-        sgnn_graph::blocked::spmm_quant_bytes(&g, &xq)
-    );
     // Dense GEMM models.
     assert_eq!(counter(&report, "linalg.matmul.flops"), 2 * 6 * 10 * 4);
     assert_eq!(counter(&report, "linalg.matmul.bytes_moved"), 4 * (6 * 10 + 10 * 4 + 2 * 6 * 4));

@@ -27,8 +27,9 @@
 //! - [`simd`] — runtime-dispatched AVX2/NEON micro-kernels, compiled into
 //!   every build and bitwise-identical to their [`simd::scalar`]
 //!   reference kernels (DESIGN.md §9).
-//! - [`quant`] — int8/f16 inference-only quantized matrices with f32
-//!   accumulation and a documented error tolerance.
+//! - [`quant`] — int8/f16 quantized matrices for the serving head and
+//!   the compressed halo wire, with f32 accumulation and a documented
+//!   error tolerance.
 
 // Numeric kernels index several parallel flat buffers at once; iterator
 // rewrites obscure them. Config-style constructors take their full

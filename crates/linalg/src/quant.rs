@@ -1,17 +1,19 @@
-//! Inference-only quantized matrices (int8 / f16) with f32 accumulation.
+//! Quantized matrices (int8 / f16) with f32 accumulation.
 //!
-//! Training is untouched — every gradient path in the workspace stays
-//! f32-bitwise per DESIGN.md §4–§8. Quantization is an *inference-serving*
-//! trade: a [`QuantMatrix`] stores each row as int8 (per-row scale =
-//! `max|row|/127`) or IEEE binary16 payloads, shrinking the bytes a kernel
-//! must gather by 4× / 2×, and every kernel accumulates in f32 so the
-//! error stays a per-element rounding term rather than compounding.
-//! The resulting error bound is documented in DESIGN.md §9 and pinned by
-//! tests: int8 dequantization error is at most `max|row|/254` per element,
-//! f16 error at most `2^-11 · |v|` (one half-precision ulp).
+//! A [`QuantMatrix`] stores each row as int8 (per-row scale =
+//! `max|row|/127`) or IEEE binary16 payloads. It has two users: the
+//! serving head's [`qmatmul_into`] (weights quantized once per engine)
+//! and the compressed halo wire ([`ef_compress_rows`]), whose 4× / 2×
+//! smaller payload is what is sent. There is no quantized aggregation
+//! kernel: an int8/f16 SpMM gather measured slower than the f32 one and
+//! was removed (DESIGN.md §9). Every kernel accumulates in f32, so the
+//! error stays a per-element rounding term: int8 dequantization error is
+//! at most `max|row|/254` per element, f16 error at most `2^-11 · |v|`
+//! (one half-precision ulp), pinned by tests.
 //!
-//! The default everywhere is [`QuantMode::F32`] — quantization never turns
-//! itself on; callers opt in per inference call.
+//! The default everywhere is [`QuantMode::F32`] — quantization never
+//! turns itself on, and gradient kernels stay f32-bitwise (DESIGN.md
+//! §4–§8).
 
 use crate::dense::DenseMatrix;
 use crate::{par, simd, LinalgError, Result};
@@ -53,11 +55,6 @@ impl QuantMode {
         }
     }
 
-    /// True for the lossy modes.
-    pub fn is_quantized(self) -> bool {
-        self != QuantMode::F32
-    }
-
     /// Payload bytes per element (4 for f32).
     pub fn elem_bytes(self) -> usize {
         match self {
@@ -70,7 +67,7 @@ impl QuantMode {
 
 /// Quantized payload storage.
 #[derive(Debug, Clone)]
-pub enum QuantPayload {
+enum QuantPayload {
     /// Signed 8-bit values; element `= q · row_scale`.
     I8(Vec<i8>),
     /// IEEE binary16 bit patterns; element `= f16_to_f32(h)` (scales are 1).
@@ -153,16 +150,6 @@ impl QuantMatrix {
             QuantPayload::I8(_) => QuantMode::Int8,
             QuantPayload::F16(_) => QuantMode::F16,
         }
-    }
-
-    /// Per-row scales (unit for f16).
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    /// Payload view.
-    pub fn payload(&self) -> &QuantPayload {
-        &self.payload
     }
 
     /// Resident payload + scale bytes.
@@ -391,7 +378,7 @@ mod tests {
         let m = DenseMatrix::gaussian(17, 33, 1.3, 42);
         let q = QuantMatrix::quantize_i8(&m);
         for r in 0..m.rows() {
-            let bound = q.scales()[r] * 0.5 + 1e-7;
+            let bound = q.scales[r] * 0.5 + 1e-7;
             for c in 0..m.cols() {
                 let err = (q.get(r, c) - m.get(r, c)).abs();
                 assert!(err <= bound, "({r},{c}): err {err} > {bound}");
@@ -404,7 +391,7 @@ mod tests {
         let mut m = DenseMatrix::zeros(2, 4);
         m.set(1, 2, 3.0);
         let q = QuantMatrix::quantize_i8(&m);
-        assert_eq!(q.scales()[0], 0.0);
+        assert_eq!(q.scales[0], 0.0);
         assert_eq!(q.get(0, 1), 0.0);
         assert_eq!(q.get(1, 2), 3.0); // row max quantizes exactly
     }
@@ -521,7 +508,6 @@ mod tests {
         assert_eq!(QuantMode::parse("f32"), Some(QuantMode::F32));
         assert_eq!(QuantMode::parse("bf16"), None);
         assert_eq!(QuantMode::default(), QuantMode::F32);
-        assert!(!QuantMode::F32.is_quantized());
         let m = DenseMatrix::gaussian(10, 10, 1.0, 3);
         let q8 = QuantMatrix::quantize_i8(&m);
         let q16 = QuantMatrix::quantize_f16(&m);

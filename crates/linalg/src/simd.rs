@@ -182,49 +182,6 @@ pub fn row_gather_weighted(
     scalar::row_gather_weighted(out, xd, d, col_off, idx, ws)
 }
 
-/// Quantized-feature gather: `out[j] += Σ_e (w_e · scale[v_e]) ·
-/// payload(v_e, j)` with f32 accumulation, edges in CSR order, starting
-/// from zeroed `out` (quantized aggregation is toleranced, not bitwise
-/// against f32 — but it IS bitwise across backends). `payload` is the
-/// int8 view; see [`row_gather_q_f16`] for the f16 twin.
-#[inline]
-pub fn row_gather_q_i8(
-    out: &mut [f32],
-    xq: &[i8],
-    scales: &[f32],
-    d: usize,
-    col_off: usize,
-    idx: &[u32],
-    ws: Option<&[f32]>,
-) {
-    out.fill(0.0);
-    let tw = out.len();
-    for (e, &v) in idx.iter().enumerate() {
-        let a = scales[v as usize] * ws.map_or(1.0, |w| w[e]);
-        axpy_i8(a, &xq[v as usize * d + col_off..][..tw], out);
-    }
-}
-
-/// f16 twin of [`row_gather_q_i8`] (per-node scales are 1.0 for f16, but
-/// the row scale slot is kept so both payloads share one call shape).
-#[inline]
-pub fn row_gather_q_f16(
-    out: &mut [f32],
-    xh: &[u16],
-    scales: &[f32],
-    d: usize,
-    col_off: usize,
-    idx: &[u32],
-    ws: Option<&[f32]>,
-) {
-    out.fill(0.0);
-    let tw = out.len();
-    for (e, &v) in idx.iter().enumerate() {
-        let a = scales[v as usize] * ws.map_or(1.0, |w| w[e]);
-        axpy_f16(a, &xh[v as usize * d + col_off..][..tw], out);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Exact fixed-point term fold (the `reduce` i64 fast path)
 // ---------------------------------------------------------------------------

@@ -68,18 +68,6 @@ impl Linear {
         y
     }
 
-    /// Inference-only forward under a numeric `mode`. [`QuantMode::F32`]
-    /// (the default) is exactly [`forward_inference`](Self::forward_inference);
-    /// the quantized modes quantize the weights for this call and run
-    /// the same forward as a head built once by
-    /// [`Mlp::quantize`](crate::Mlp::quantize).
-    pub fn forward_inference_quant(&self, x: &DenseMatrix, mode: QuantMode) -> DenseMatrix {
-        match QuantLinear::new(self, mode) {
-            Some(q) => q.forward(x),
-            None => self.forward_inference(x),
-        }
-    }
-
     /// Backward pass: accumulates `gw += Xᵀ·dY`, `gb += Σ dY`, returns
     /// `dX = dY·Wᵀ` — [`fold_fx`](Self::fold_fx),
     /// [`accumulate_fx`](Self::accumulate_fx) and

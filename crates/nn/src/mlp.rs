@@ -264,7 +264,7 @@ mod tests {
             let n = mlp.linears.len();
             let mut want = x.clone();
             for (i, l) in mlp.linears.iter().enumerate() {
-                want = l.forward_inference_quant(&want, mode);
+                want = QuantLinear::new(l, mode).expect("lossy mode").forward(&want);
                 if i + 1 < n {
                     want = mlp.relus[i].forward_inference(&want);
                 }

@@ -5,14 +5,17 @@
 //! One table row per bad input × trainer it applies to. Each row runs
 //! under `catch_unwind`, so a panic fails the row instead of the binary.
 
+use sgnn::core::models::decoupled::PrecomputeMethod;
 use sgnn::core::shard::train_sharded_gcn;
 use sgnn::core::trainer::{
-    train_cluster_gcn, train_full_gcn, train_sampled, SamplerKind, TrainConfig,
+    train_cluster_gcn, train_coarse, train_decoupled, train_full_gcn, train_saint, train_sampled,
+    SamplerKind, TrainConfig,
 };
 use sgnn::core::trainer_ext::{train_history, train_seignn};
 use sgnn::core::{TrainError, TrainResult};
 use sgnn::data::{sbm_dataset, Dataset};
 use sgnn::partition::hash_partition;
+use sgnn::sample::SaintSampler;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 type Run = Box<dyn Fn(&Dataset, &TrainConfig) -> TrainResult<()>>;
@@ -27,6 +30,22 @@ fn history(fanout: usize) -> Run {
 
 fn cluster(num_clusters: usize, clusters_per_batch: usize) -> Run {
     Box::new(move |ds, cfg| train_cluster_gcn(ds, num_clusters, clusters_per_batch, cfg).map(drop))
+}
+
+fn seignn(parts: usize) -> Run {
+    Box::new(move |ds, cfg| train_seignn(ds, parts, cfg).map(drop))
+}
+
+fn saint(sampler: SaintSampler) -> Run {
+    Box::new(move |ds, cfg| train_saint(ds, sampler, 2, cfg).map(drop))
+}
+
+fn decoupled(method: PrecomputeMethod) -> Run {
+    Box::new(move |ds, cfg| train_decoupled(ds, &method, cfg).map(drop))
+}
+
+fn coarse(ratio: f64) -> Run {
+    Box::new(move |ds, cfg| train_coarse(ds, ratio, cfg).map(drop))
 }
 
 fn full() -> Run {
@@ -70,7 +89,7 @@ fn bad_trainer_input_is_refused_without_panic() {
         ("history: batch_size 0", zero_batch, history(4)),
         ("cluster: num_clusters 0", cfg.clone(), cluster(0, 1)),
         ("cluster: clusters_per_batch 0", cfg.clone(), cluster(4, 0)),
-        ("seignn: parts 0", cfg.clone(), Box::new(|ds, cfg| train_seignn(ds, 0, cfg).map(drop))),
+        ("seignn: parts 0", cfg.clone(), seignn(0)),
     ];
     for (name, cfg, run) in &cases {
         assert_refused(name, &ds, cfg, run);
@@ -78,7 +97,7 @@ fn bad_trainer_input_is_refused_without_panic() {
 }
 
 /// A dataset that breaks `Dataset::validate`, or has no training row,
-/// is refused by the full-graph and the sharded GCN trainers alike.
+/// is refused by every trainer.
 #[test]
 fn bad_dataset_is_refused_without_panic() {
     let base = dataset();
@@ -91,13 +110,31 @@ fn bad_dataset_is_refused_without_panic() {
     split_out_of_range.splits.train.push(n as u32);
     let mut empty_train = base.clone();
     empty_train.splits.train.clear();
+    let mut nan_feature = base.clone();
+    nan_feature.features.set(n / 2, 1, f32::NAN);
+    let mut inf_feature = base.clone();
+    inf_feature.features.set(n - 1, 0, f32::NEG_INFINITY);
     let datasets = [
         ("label >= num_classes", bad_label),
         ("feature rows != n", short_features),
         ("split id >= n", split_out_of_range),
         ("empty train split", empty_train),
+        ("non-finite feature (NaN)", nan_feature),
+        ("non-finite feature (-inf)", inf_feature),
     ];
-    let trainers: [(&str, Run); 2] = [("full", full()), ("sharded k=2", sharded(2))];
+    let trainers: Vec<(&str, Run)> = vec![
+        ("full", full()),
+        ("sharded k=2", sharded(2)),
+        ("sampled node-wise", sampled(SamplerKind::NodeWise(vec![4, 4]))),
+        ("sampled LADIES", sampled(SamplerKind::LayerWise(vec![32, 32]))),
+        ("sampled LABOR", sampled(SamplerKind::Labor(vec![4, 4]))),
+        ("history", history(4)),
+        ("cluster", cluster(4, 2)),
+        ("saint", saint(SaintSampler::Node { budget: 50 })),
+        ("decoupled sgc", decoupled(PrecomputeMethod::Sgc { k: 2 })),
+        ("coarse", coarse(0.5)),
+        ("seignn", seignn(2)),
+    ];
     let cfg = config();
     for (what, ds) in &datasets {
         for (trainer, run) in &trainers {
