@@ -11,14 +11,16 @@
 
 use sgnn::core::models::sage::{Sage, EVAL_TILE};
 use sgnn::core::trainer::{train_sampled, SamplerKind, TrainConfig};
+use sgnn::core::trainer_ext::train_history;
 use sgnn::data::{sbm_dataset, Dataset};
 use sgnn::graph::{generate, CsrGraph, NodeId};
 use sgnn::linalg::par::set_threads;
 use sgnn::linalg::DenseMatrix;
 use sgnn::nn::layers::{Linear, ReLU};
-use sgnn::nn::loss::accuracy;
+use sgnn::nn::loss::{accuracy, softmax_cross_entropy};
+use sgnn::nn::optim::{Adam, Optimizer};
 use sgnn::sample::node_wise::sample_blocks;
-use sgnn::sample::Block;
+use sgnn::sample::{Block, HistoryCache};
 use std::sync::Mutex;
 
 /// Serializes tests that set the process-wide thread count.
@@ -115,6 +117,82 @@ impl HistoryLayers {
             logits
         })
     }
+
+    /// One Adam step over the four layers in `Sage::step`'s slot order.
+    fn step(&mut self, opt: &mut Adam) {
+        let mut slot = 0usize;
+        for l in [&mut self.self1, &mut self.neigh1, &mut self.self2, &mut self.neigh2] {
+            l.visit_params(&mut |p, g| {
+                opt.update(slot, p, g);
+                slot += 1;
+            });
+        }
+        opt.step_done();
+    }
+}
+
+/// `train_history`'s training loop replayed from public calls: every
+/// node scheduled once per epoch in a seeded shuffle, one sampled hop
+/// per layer, out-of-batch layer-2 inputs from a [`HistoryCache`] as
+/// constants, and the loss over the batch's train members only. Returns
+/// the last training batch's loss, the report's `final_loss`.
+fn replayed_history_loss(ds: &Dataset, fanout: usize, cfg: &TrainConfig) -> f32 {
+    use rand::RngExt;
+    let n = ds.num_nodes();
+    let hidden = cfg.hidden[0];
+    let mut net = HistoryLayers::new(ds.feature_dim(), hidden, ds.num_classes, cfg.seed);
+    let mut relu1 = ReLU::new();
+    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+    let cache = HistoryCache::new(n, hidden);
+    let mut is_train = vec![false; n];
+    for &u in &ds.splits.train {
+        is_train[u as usize] = true;
+    }
+    let mut schedule: Vec<NodeId> = (0..n as NodeId).collect();
+    let (mut iter, mut final_loss) = (0u64, 0f32);
+    for epoch in 0..cfg.epochs {
+        let mut rng = sgnn::linalg::rng::seeded(cfg.seed.wrapping_add(epoch as u64));
+        for i in (1..schedule.len()).rev() {
+            schedule.swap(i, rng.random_range(0..=i));
+        }
+        for (bi, chunk) in schedule.chunks(cfg.batch_size).enumerate() {
+            iter += 1;
+            let seed = cfg.seed.wrapping_add((epoch * 7919 + bi) as u64);
+            let block = &sample_blocks(&ds.graph, chunk, &[fanout], seed)[0];
+            let inner = &sample_blocks(&ds.graph, chunk, &[fanout], seed ^ 0xABCD)[0];
+            let agg1 = inner.aggregate(&ds.features.gather_rows(&rows_of(&inner.src)));
+            let mut z1 = net.self1.forward(&ds.features.gather_rows(&rows_of(chunk)));
+            z1.add_scaled(1.0, &net.neigh1.forward(&agg1)).expect("shapes");
+            let h1_batch = relu1.forward(&z1);
+            let (cached, _, _) = cache.fetch_batch(&block.src[chunk.len()..], iter);
+            let agg2 = block.aggregate(&h1_batch.concat_rows(&cached).expect("widths"));
+            let mut logits = net.self2.forward(&h1_batch);
+            logits.add_scaled(1.0, &net.neigh2.forward(&agg2)).expect("shapes");
+            let weights: Vec<f32> =
+                chunk.iter().map(|&u| if is_train[u as usize] { 1.0 } else { 0.0 }).collect();
+            if weights.iter().any(|&w| w != 0.0) {
+                let (loss, dl) =
+                    softmax_cross_entropy(&logits, &ds.labels_of(chunk), Some(&weights));
+                final_loss = loss;
+                for l in [&mut net.self1, &mut net.neigh1, &mut net.self2, &mut net.neigh2] {
+                    l.zero_grad();
+                }
+                let mut d_h1 = net.self2.backward(&dl);
+                let d_h1_src = block.aggregate_backward(&net.neigh2.backward(&dl));
+                for r in 0..chunk.len() {
+                    for (g, &s) in d_h1.row_mut(r).iter_mut().zip(d_h1_src.row(r)) {
+                        *g += s;
+                    }
+                }
+                let d_z1 = relu1.backward(&d_h1);
+                net.self1.backward(&d_z1);
+                net.neigh1.backward(&d_z1);
+                net.step(&mut opt);
+            }
+            cache.push_batch(chunk, iter, &h1_batch);
+        }
+    }
+    final_loss
 }
 
 fn bits(m: &DenseMatrix) -> Vec<u32> {
@@ -207,4 +285,21 @@ fn train_sampled_reports_the_layerwise_accuracy_for_every_sampler() {
         assert_eq!(report.test_acc, acc(&ds.splits.test), "{sampler:?}");
         assert_eq!(report.val_acc, acc(&ds.splits.val), "{sampler:?}");
     }
+}
+
+/// `train_history`'s final loss equals, bit for bit, its loop replayed
+/// from public calls over 3 epochs, at one thread and at the default
+/// thread count.
+#[test]
+fn history_trainer_loss_bits_equal_an_outside_in_replay() {
+    let _g = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let ds = with_isolated_nodes(dataset());
+    let cfg = TrainConfig { epochs: 3, hidden: vec![16], batch_size: 200, ..Default::default() };
+    for threads in [1, 0] {
+        set_threads(threads);
+        let (report, _) = train_history(&ds, 5, &cfg).expect("trains");
+        let want = replayed_history_loss(&ds, 5, &cfg);
+        assert_eq!(report.final_loss.to_bits(), want.to_bits(), "threads {threads}");
+    }
+    set_threads(0);
 }
