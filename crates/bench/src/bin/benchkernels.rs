@@ -179,7 +179,7 @@ fn main() {
     let a: CsrGraph =
         normalized_adjacency(&generate::barabasi_albert(n, 8, 7), NormKind::Sym, true).unwrap();
     let x = DenseMatrix::gaussian(n, d, 1.0, 8);
-    let spec = BlockSpec::auto(&a, d);
+    let spec = BlockSpec::auto(a.view(), d);
     let mut y = DenseMatrix::zeros(n, d);
     let mut yb = DenseMatrix::zeros(n, d);
 

@@ -1,10 +1,10 @@
-//! The tiled SpMM body: the one f32 aggregation kernel behind
-//! [`spmm_into`](crate::spmm::spmm_into).
-//!
-//! `spmm_into` runs every feature width d ≥ 5 through this module's
-//! register-gather body with [`BlockSpec::auto`] tiles;
-//! [`spmm_blocked_into`] is the same body with caller-chosen tiles. The
-//! product is tiled two ways:
+//! The tiled register-gather body: the one f32 neighbour-aggregation
+//! kernel, over a borrowed [`CsrView`]. [`spmm_into`](crate::spmm::spmm_into)
+//! runs it for feature widths d ≥ 5 with [`BlockSpec::auto`] tiles and
+//! [`spmm_blocked_into`] with caller-chosen tiles; [`aggregate_into`]
+//! runs it at every width with no counters, for sampled blocks and
+//! GraphSAGE's evaluation tiles. [`aggregate_backward_into`] is its
+//! adjoint, a serial scatter. The product is tiled two ways:
 //!
 //! - **Feature columns** are processed in windows of
 //!   [`BlockSpec::col_block`] entries so the
@@ -17,16 +17,16 @@
 //!   ordering from [`crate::reorder`] clusters those sources further.
 //!
 //! Per feature column the accumulation chain (first edge initializes,
-//! later edges add, CSR order) does not depend on the tiles, so
-//! [`spmm_blocked_into`] is **bitwise identical** to `spmm_into` for every
-//! block size and thread count — DESIGN.md §9. Feature widths ≤ 4
-//! delegate to `spmm_into`'s register micro-kernels outright (blocking
-//! cannot split them and their accumulate-from-zero order differs on
-//! `-0.0`).
+//! later edges add, CSR order) does not depend on the tiles or the
+//! thread count, so [`spmm_blocked_into`] is **bitwise identical** to
+//! `spmm_into` for every block size — DESIGN.md §9. `spmm_into` runs
+//! feature widths ≤ 4 on its own register micro-kernels (blocking cannot
+//! split them and their accumulate-from-zero order differs on `-0.0`),
+//! and `spmm_blocked_into` delegates those widths to it.
 
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, CsrView};
 use crate::spmm::{spmm_bytes, spmm_flops, MIN_PAR_WORK};
-use sgnn_linalg::{par, simd, DenseMatrix};
+use sgnn_linalg::{par, simd, vecops, DenseMatrix};
 
 static BLOCKED_CALLS: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_blocked.calls");
 static BLOCKED_FLOPS: sgnn_obs::Counter = sgnn_obs::Counter::new("linalg.spmm_blocked.flops");
@@ -42,17 +42,17 @@ pub struct BlockSpec {
 }
 
 impl BlockSpec {
-    /// Picks tile sizes for a graph/feature-width pair.
+    /// Picks tile sizes for a matrix/feature-width pair.
     ///
     /// The column window is the feature width capped at 64 (eight YMM
     /// accumulators — the widest register tile the AVX2 gather kernel
     /// holds). The row tile targets half of a typical 2 MB L2 for the
-    /// gathered source sub-rows, sized with the mean degree as the
+    /// gathered source sub-rows, sized with the mean row length as the
     /// distinct-source estimate.
-    pub fn auto(g: &CsrGraph, d: usize) -> BlockSpec {
+    pub fn auto(a: CsrView<'_>, d: usize) -> BlockSpec {
         let col_block = d.clamp(1, 64);
-        let n = g.num_nodes().max(1);
-        let mean_deg = (g.num_edges() as f64 / n as f64).max(1.0);
+        let n = a.num_rows().max(1);
+        let mean_deg = (a.cols.len() as f64 / n as f64).max(1.0);
         let l2_target = 1 << 20; // bytes
         let per_row = mean_deg * col_block as f64 * 4.0 + 1.0;
         let row_block = ((l2_target as f64 / per_row) as usize).clamp(32, 8192);
@@ -85,21 +85,52 @@ pub fn spmm_blocked_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix, spe
     BLOCKED_CALLS.incr();
     BLOCKED_FLOPS.add(spmm_flops(g, d));
     BLOCKED_BYTES.add(spmm_bytes(g, d));
-    gather_into(g, x, y, spec);
+    gather_into(g.view(), x, y, spec);
 }
 
-/// The register-gather body shared by `spmm_into` (d ≥ 5, auto tiles)
-/// and [`spmm_blocked_into`]: no checks, no counters.
-pub(crate) fn gather_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix, spec: BlockSpec) {
+/// `Y = A · X` for any view `A` with [`BlockSpec::auto`] tiles,
+/// overwriting `y`: the register-gather body at every feature width,
+/// with no counters. Row `i` starts from its first entry's `w·x` and
+/// adds the later entries' in order, so it equals a plain CSR loop bit
+/// for bit at every thread count; a row without entries is zero.
+pub fn aggregate_into(a: CsrView<'_>, x: &DenseMatrix, y: &mut DenseMatrix) {
+    assert_eq!(x.rows(), a.num_cols, "input rows must equal the view's column count");
+    assert_eq!(y.shape(), (a.num_rows(), x.cols()), "output shape must be (view rows, d)");
     let d = x.cols();
-    let indices = g.indices();
+    if d == 0 {
+        return;
+    }
+    gather_into(a, x, y, BlockSpec::auto(a, d));
+}
+
+/// `dX = Aᵀ · dY`, overwriting `dx`: the adjoint of [`aggregate_into`].
+/// A serial scatter, `dX[cols[e]] += w_e · dY[i]` in row and entry
+/// order, so every `dX` row sums its terms in one fixed order.
+pub fn aggregate_backward_into(a: CsrView<'_>, dy: &DenseMatrix, dx: &mut DenseMatrix) {
+    assert_eq!(dy.rows(), a.num_rows(), "gradient rows must equal the view's row count");
+    assert_eq!(dx.shape(), (a.num_cols, dy.cols()), "output shape must be (view cols, d)");
+    dx.data_mut().fill(0.0);
+    for i in 0..a.num_rows() {
+        let gy = dy.row(i);
+        for e in a.indptr[i]..a.indptr[i + 1] {
+            let w = a.weights.map_or(1.0, |ws| ws[e]);
+            vecops::axpy(w, gy, dx.row_mut(a.cols[e] as usize));
+        }
+    }
+}
+
+/// The register-gather body shared by `spmm_into` (d ≥ 5, auto tiles),
+/// [`spmm_blocked_into`] and [`aggregate_into`]: no checks, no counters;
+/// `x` must have at least one column.
+pub(crate) fn gather_into(a: CsrView<'_>, x: &DenseMatrix, y: &mut DenseMatrix, spec: BlockSpec) {
+    let d = x.cols();
     let xd = x.data();
-    match g.weights() {
-        None => for_each_window(g, d, y.data_mut(), spec, |out, lo, hi, c0| {
-            simd::row_gather_unweighted(out, xd, d, c0, &indices[lo..hi])
+    match a.weights {
+        None => for_each_window(a.indptr, d, y.data_mut(), spec, |out, lo, hi, c0| {
+            simd::row_gather_unweighted(out, xd, d, c0, &a.cols[lo..hi])
         }),
-        Some(ws) => for_each_window(g, d, y.data_mut(), spec, |out, lo, hi, c0| {
-            simd::row_gather_weighted(out, xd, d, c0, &indices[lo..hi], &ws[lo..hi])
+        Some(ws) => for_each_window(a.indptr, d, y.data_mut(), spec, |out, lo, hi, c0| {
+            simd::row_gather_weighted(out, xd, d, c0, &a.cols[lo..hi], &ws[lo..hi])
         }),
     }
 }
@@ -107,13 +138,12 @@ pub(crate) fn gather_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix, sp
 /// Walks the `d`-wide rows of `y` in `spec` tiles — nnz-balanced row
 /// chunks across the pool, then row tiles × column windows inside each
 /// chunk — and calls `window(out, lo, hi, c0)` for every row with edges
-/// `lo..hi`, `out` being its window starting at column `c0`. Rows without
-/// edges are zero-filled.
-fn for_each_window<F>(g: &CsrGraph, d: usize, y: &mut [f32], spec: BlockSpec, window: F)
+/// `lo..hi` of `indptr`, `out` being its window starting at column `c0`.
+/// Rows without edges are zero-filled.
+fn for_each_window<F>(indptr: &[usize], d: usize, y: &mut [f32], spec: BlockSpec, window: F)
 where
     F: Fn(&mut [f32], usize, usize, usize) + Sync,
 {
-    let indptr = g.indptr();
     let min_weight = (MIN_PAR_WORK / d).max(1);
     par::par_balanced_rows_mut(y, d, indptr, min_weight, |first_row, chunk| {
         let rows = chunk.len() / d;
@@ -160,7 +190,7 @@ mod tests {
                     BlockSpec { row_block: 1, col_block: 1 },
                     BlockSpec { row_block: 7, col_block: 8 },
                     BlockSpec { row_block: 64, col_block: 33 },
-                    BlockSpec::auto(g, d),
+                    BlockSpec::auto(g.view(), d),
                 ] {
                     let mut y =
                         DenseMatrix::from_vec(g.num_nodes(), d, vec![f32::NAN; g.num_nodes() * d]);
@@ -216,9 +246,9 @@ mod tests {
     #[test]
     fn auto_spec_is_sane() {
         let g = generate::barabasi_albert(1000, 8, 4);
-        let spec = BlockSpec::auto(&g, 64);
+        let spec = BlockSpec::auto(g.view(), 64);
         assert_eq!(spec.col_block, 64);
         assert!((32..=8192).contains(&spec.row_block), "{spec:?}");
-        assert_eq!(BlockSpec::auto(&g, 7).col_block, 7);
+        assert_eq!(BlockSpec::auto(g.view(), 7).col_block, 7);
     }
 }

@@ -11,6 +11,30 @@ use crate::{GraphError, Result};
 /// workspace stay below `u32::MAX` nodes by construction.
 pub type NodeId = u32;
 
+/// A borrowed rectangular CSR matrix: row `i` holds the entries
+/// `indptr[i]..indptr[i + 1]` of `cols` (each below `num_cols`) and of
+/// `weights` (unit weights when `None`). Graphs ([`CsrGraph::view`]) and
+/// sampled blocks produce one, and aggregate through [`crate::blocked`].
+#[derive(Debug, Clone, Copy)]
+pub struct CsrView<'a> {
+    /// Row offsets, one more than the row count.
+    pub indptr: &'a [usize],
+    /// Column of each entry.
+    pub cols: &'a [u32],
+    /// Weight of each entry, parallel to `cols`.
+    pub weights: Option<&'a [f32]>,
+    /// Column count: the rows of the matrix the view multiplies.
+    pub num_cols: usize,
+}
+
+impl CsrView<'_> {
+    /// Number of rows.
+    #[inline]
+    pub fn num_rows(&self) -> usize {
+        self.indptr.len().saturating_sub(1)
+    }
+}
+
 /// An immutable graph in CSR form.
 ///
 /// Invariants (enforced by [`GraphBuilder`](crate::GraphBuilder) and
@@ -145,6 +169,16 @@ impl CsrGraph {
     #[inline]
     pub fn weights(&self) -> Option<&[f32]> {
         self.weights.as_deref()
+    }
+
+    /// The adjacency as a square [`CsrView`].
+    pub fn view(&self) -> CsrView<'_> {
+        CsrView {
+            indptr: &self.indptr,
+            cols: &self.indices,
+            weights: self.weights.as_deref(),
+            num_cols: self.n,
+        }
     }
 
     /// Whether an explicit weight array is stored.

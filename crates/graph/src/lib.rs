@@ -18,8 +18,10 @@
 //!   producing weighted CSR operators.
 //! - [`spmm`] — parallel sparse×dense products, plus `f64` operator adapters
 //!   ([`CsrOpF64`]) feeding the eigensolvers in `sgnn-linalg`.
-//! - [`blocked`] — the tiled register-gather SpMM body `spmm` runs for
-//!   d ≥ 5 (with explicit tiles via `spmm_blocked_into`; DESIGN.md §9).
+//! - [`blocked`] — the tiled register-gather aggregation body over a
+//!   [`CsrView`]: `spmm` runs it for d ≥ 5 (with explicit tiles via
+//!   `spmm_blocked_into`), sampled blocks and evaluation tiles for every
+//!   width (DESIGN.md §9).
 //! - [`traverse`] — BFS, connected components, k-hop neighborhoods.
 //! - [`io`] — text edge-list and binary (`bytes`-based) persistence.
 
@@ -40,7 +42,7 @@ pub mod stats;
 pub mod traverse;
 
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, NodeId};
+pub use csr::{CsrGraph, CsrView, NodeId};
 pub use normalize::{normalized_adjacency, NormKind};
 pub use spmm::CsrOpF64;
 

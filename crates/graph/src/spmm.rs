@@ -72,7 +72,8 @@ pub fn spmm_into(g: &CsrGraph, x: &DenseMatrix, y: &mut DenseMatrix) {
     SPMM_FLOPS.add(spmm_flops(g, d));
     SPMM_BYTES.add(spmm_bytes(g, d));
     if d > 4 {
-        gather_into(g, x, y, BlockSpec::auto(g, d));
+        let a = g.view();
+        gather_into(a, x, y, BlockSpec::auto(a, d));
         return;
     }
     let indptr = g.indptr();

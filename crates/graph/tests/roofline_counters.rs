@@ -30,7 +30,7 @@ fn roofline_counters_match_analytic_models() {
     sgnn_obs::enable();
     sgnn_obs::reset();
     spmm_into(&g, &x, &mut y);
-    spmm_blocked_into(&g, &x, &mut y, BlockSpec::auto(&g, d));
+    spmm_blocked_into(&g, &x, &mut y, BlockSpec::auto(g.view(), d));
     let a = DenseMatrix::gaussian(6, 10, 1.0, 2);
     let b = DenseMatrix::gaussian(10, 4, 1.0, 3);
     let mut ab = DenseMatrix::zeros(6, 4);

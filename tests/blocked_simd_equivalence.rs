@@ -16,10 +16,11 @@ use sgnn::graph::generate;
 use sgnn::graph::normalize::{normalized_adjacency, NormKind};
 use sgnn::graph::reorder::{compute_order, relabel, Reordering};
 use sgnn::graph::spmm::spmm_into;
-use sgnn::graph::CsrGraph;
+use sgnn::graph::CsrView;
 use sgnn::linalg::par::set_threads;
 use sgnn::linalg::simd::{self, scalar};
 use sgnn::linalg::DenseMatrix;
+use sgnn::sample::{labor::labor_blocks, layer_wise::ladies_blocks, node_wise::sample_blocks};
 use std::sync::Mutex;
 
 /// Serializes tests that toggle the global thread count (the test harness
@@ -159,16 +160,16 @@ fn widen(v: &[f32]) -> Vec<f64> {
 /// `Y = A · X` the plain way: each row starts from its first edge's term
 /// and adds the later edges' `w·x` in CSR order; rows without edges are
 /// zero.
-fn csr_loop(g: &CsrGraph, x: &DenseMatrix) -> DenseMatrix {
+fn csr_loop(a: CsrView<'_>, x: &DenseMatrix) -> DenseMatrix {
     let d = x.cols();
-    let mut y = DenseMatrix::zeros(g.num_nodes(), d);
-    for u in 0..g.num_nodes() {
-        let (lo, hi) = (g.indptr()[u], g.indptr()[u + 1]);
+    let mut y = DenseMatrix::zeros(a.num_rows(), d);
+    for u in 0..a.num_rows() {
+        let (lo, hi) = (a.indptr[u], a.indptr[u + 1]);
         for e in lo..hi {
-            let src = x.row(g.indices()[e] as usize);
+            let src = x.row(a.cols[e] as usize);
             let out = y.row_mut(u);
             for k in 0..d {
-                let term = g.weights().map_or(src[k], |ws| ws[e] * src[k]);
+                let term = a.weights.map_or(src[k], |ws| ws[e] * src[k]);
                 out[k] = if e == lo { term } else { out[k] + term };
             }
         }
@@ -274,7 +275,7 @@ proptest! {
         let (rg, _) = relabel(&a, &compute_order(&a, Reordering::Rcm));
         let x = DenseMatrix::gaussian(n, d, 1.0, seed + 1);
         for op in [&g, &a, &rg] {
-            let want = csr_loop(op, &x);
+            let want = csr_loop(op.view(), &x);
             for threads in [1usize, 0] {
                 set_threads(threads);
                 let mut got = DenseMatrix::from_vec(n, d, vec![f32::NAN; n * d]);
@@ -289,4 +290,40 @@ proptest! {
         }
         set_threads(0);
     }
+}
+
+/// `Block::aggregate_into` is bitwise equal to [`csr_loop`] over the
+/// block's view for node-wise, LADIES and LABOR blocks, narrow and wide
+/// feature widths, inline and pooled, starting from a NaN-filled output:
+/// sampled blocks run the same row-parallel gather as `spmm_into`.
+#[test]
+fn block_aggregation_equals_a_plain_csr_loop() {
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let g = generate::barabasi_albert(3_000, 4, 5);
+    let targets: Vec<u32> = (0..3_000).step_by(7).collect();
+    let stacks = [
+        ("node-wise", sample_blocks(&g, &targets, &[10, 10], 1)),
+        ("LADIES", ladies_blocks(&g, &targets, &[600, 600], 2)),
+        ("LABOR", labor_blocks(&g, &targets, &[10, 10], 3)),
+    ];
+    for (name, blocks) in &stacks {
+        for (l, b) in blocks.iter().enumerate() {
+            for d in [1usize, 3, 5, 64, 70] {
+                let x = DenseMatrix::gaussian(b.num_src(), d, 1.0, d as u64 + l as u64);
+                let want = csr_loop(b.view(), &x);
+                for threads in [1usize, 0] {
+                    set_threads(threads);
+                    let mut got =
+                        DenseMatrix::from_vec(b.num_dst(), d, vec![f32::NAN; b.num_dst() * d]);
+                    b.aggregate_into(&x, &mut got);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{name} block {l} (d={d}, threads={threads})"
+                    );
+                }
+            }
+        }
+    }
+    set_threads(0);
 }
